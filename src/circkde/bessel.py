@@ -88,24 +88,20 @@ def mean_resultant_ratio(kappa):
 def inverse_mean_resultant_ratio(rbar):
     """Concentration kappa solving A(kappa) = rbar.
 
-    Solved by a piecewise rational start refined with safeguarded Newton
-    steps (A'(kappa) = 1 - A/kappa - A^2) to |A(kappa) - rbar| < 1e-10.
-    Results are capped at ``KAPPA_CAP``; inputs at or above A(KAPPA_CAP)
-    (in particular rbar >= 1) return the cap, which callers can detect
-    with :func:`is_saturated`.
+    Solved from Fisher's piecewise rational approximation by safeguarded
+    Newton steps (A'(kappa) = 1 - A/kappa - A^2) until every entry has
+    |A(kappa) - rbar| < 1e-12. Results are capped at ``KAPPA_CAP``; inputs
+    at or above A(KAPPA_CAP) (in particular rbar >= 1) return the cap,
+    which callers can detect with :func:`is_saturated`.
     """
-    r = np.asarray(rbar, dtype=float)
-    scalar = r.ndim == 0
-    r = np.atleast_1d(r).astype(float)
-    if np.any(r < 0):
+    r = np.atleast_1d(np.asarray(rbar, dtype=float))
+    if (r < 0).any():
         raise ValueError("rbar must be non-negative")
-    out = np.zeros_like(r)
-    sat = r >= _A_AT_CAP
-    out[sat] = KAPPA_CAP
-    mid = ~sat & (r > 0)
-    if np.any(mid):
-        out[mid] = _newton_inverse(r[mid])
-    return float(out[0]) if scalar else out
+    out = np.where(r > 0, KAPPA_CAP, 0.0)
+    interior = (r > 0) & (r < _A_AT_CAP)
+    if interior.any():
+        out[interior] = _newton_inverse(r[interior])
+    return float(out[0]) if np.ndim(rbar) == 0 else out
 
 
 def is_saturated(kappa) -> bool:
@@ -126,15 +122,13 @@ def _check_order(r: int) -> None:
 
 
 def _newton_start(r: np.ndarray) -> np.ndarray:
-    """Fisher's piecewise approximation to A^{-1}(r)."""
-    k = np.empty_like(r)
-    lo = r < 0.53
-    hi = r >= 0.85
-    md = ~lo & ~hi
-    k[lo] = 2 * r[lo] + r[lo] ** 3 + 5 * r[lo] ** 5 / 6
-    k[md] = -0.4 + 1.39 * r[md] + 0.43 / (1 - r[md])
-    k[hi] = 1.0 / (r[hi] ** 3 - 4 * r[hi] ** 2 + 3 * r[hi])
-    return np.clip(k, 1e-12, KAPPA_CAP)
+    """Fisher's piecewise approximation to A^{-1}(r) for r in (0, A(KAPPA_CAP))."""
+    k = np.where(
+        r < 0.53,
+        2 * r + r**3 + 5 * r**5 / 6,
+        np.where(r < 0.85, -0.4 + 1.39 * r + 0.43 / (1 - r), 1.0 / (r**3 - 4 * r**2 + 3 * r)),
+    )
+    return np.minimum(np.maximum(k, 1e-12), KAPPA_CAP)
 
 
 def _newton_inverse(r: np.ndarray, tol: float = 1e-12, max_iter: int = 100) -> np.ndarray:
@@ -142,10 +136,9 @@ def _newton_inverse(r: np.ndarray, tol: float = 1e-12, max_iter: int = 100) -> n
     for _ in range(max_iter):
         a = i1e(k) / i0e(k)
         f = a - r
-        if np.all(np.abs(f) < tol):
+        if (np.abs(f) < tol).all():
             break
-        deriv = 1.0 - a / k - a * a
-        step = f / deriv
+        step = f / (1.0 - a / k - a * a)
         # A is increasing and concave; keep iterates inside (0, cap].
-        k = np.clip(k - step, k * 0.1, KAPPA_CAP)
-    return np.minimum(k, KAPPA_CAP)
+        k = np.minimum(np.maximum(k - step, k * 0.1), KAPPA_CAP)
+    return k

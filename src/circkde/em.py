@@ -80,26 +80,22 @@ def fit_single_von_mises(sample) -> VonMisesComponent:
 
 
 def log_likelihood(sample, mixture: VonMisesMixture) -> float:
-    arr = np.atleast_1d(np.asarray(sample, dtype=float))
-    logm = _log_weighted_densities(np.cos(arr), np.sin(arr), mixture.weights, mixture.mus, mixture.kappas)
-    return _row_logsumexp(logm)[1]
+    _, ll = _batch_e_step(_unit_vectors(sample), *_as_batch(mixture))
+    return float(ll[0])
 
 
 def responsibilities(sample, mixture: VonMisesMixture) -> np.ndarray:
     """Posterior component probabilities, one row per observation."""
-    arr = np.atleast_1d(np.asarray(sample, dtype=float))
-    logm = _log_weighted_densities(np.cos(arr), np.sin(arr), mixture.weights, mixture.mus, mixture.kappas)
-    return _resp_from_log(logm)[0]
+    resp, _ = _batch_e_step(_unit_vectors(sample), *_as_batch(mixture))
+    return resp[0].T
 
 
 def em_step(sample, mixture: VonMisesMixture) -> tuple[VonMisesMixture, float]:
     """One E+M update; returns the new mixture and the input's log-likelihood."""
-    arr = np.atleast_1d(np.asarray(sample, dtype=float))
-    ct, st = np.cos(arr), np.sin(arr)
-    logm = _log_weighted_densities(ct, st, mixture.weights, mixture.mus, mixture.kappas)
-    resp, ll = _resp_from_log(logm)
-    alpha, mus, kappas = _m_step(ct, st, resp)
-    return VonMisesMixture(alpha, mus, kappas), ll
+    x = _unit_vectors(sample)
+    resp, ll = _batch_e_step(x, *_as_batch(mixture))
+    alpha, mus, kappas = _batch_m_step(x, resp)
+    return VonMisesMixture(alpha[0], mus[0], kappas[0]), float(ll[0])
 
 
 def em_fit(sample, M: int, cfg: EmConfig | None = None) -> MixtureFit:
@@ -121,11 +117,10 @@ def em_fit(sample, M: int, cfg: EmConfig | None = None) -> MixtureFit:
         ll = log_likelihood(arr, mix)
         return _finalize(mix, ll, converged=True, n_iter=0, trace=(ll,), n=n)
 
-    ct, st = np.cos(arr), np.sin(arr)
     mus0 = np.stack(
         [_initial_centers(arr, M, make_rng(cfg.seed, M, r)) for r in range(cfg.n_restarts)]
     )
-    return _run_em_restarts(ct, st, mus0, cfg)
+    return _run_em_restarts(_unit_vectors(arr), mus0, cfg)
 
 
 @dataclass(frozen=True)
@@ -134,13 +129,16 @@ class MixtureSelection:
 
     ``best`` is None when no candidate produced a valid fit with a finite
     curvature integral (the no-valid-fit marker that triggers the
-    rule-of-thumb fallback downstream).
+    rule-of-thumb fallback downstream). ``convergence`` maps each fitted
+    candidate M to its best restart's ``(n_iter, converged)``, so fits
+    stopped at ``max_iter`` stay visible.
     """
 
     best: MixtureFit | None
     best_curvature: float | None
     aic_table: dict[int, float]
     rejected: dict[int, str]
+    convergence: dict[int, tuple[int, bool]] = field(default_factory=dict)
 
 
 def select_reference_mixture(
@@ -162,6 +160,7 @@ def select_reference_mixture(
 
     aic_table: dict[int, float] = {}
     rejected: dict[int, str] = {}
+    convergence: dict[int, tuple[int, bool]] = {}
     eligible: list[tuple[float, int, MixtureFit, float]] = []
     for m in candidates:
         if arr.size < 3 * m:
@@ -169,6 +168,7 @@ def select_reference_mixture(
             continue
         fit = em_fit(arr, m, cfg)
         aic_table[m] = fit.aic
+        convergence[m] = (fit.n_iter, fit.converged)
         if not fit.valid:
             rejected[m] = fit.invalid_reason or "degenerate fit"
             continue
@@ -179,44 +179,23 @@ def select_reference_mixture(
         eligible.append((fit.aic, m, fit, curv))
 
     if not eligible:
-        return MixtureSelection(None, None, aic_table, rejected)
+        return MixtureSelection(None, None, aic_table, rejected, convergence)
     _, _, fit, curv = min(eligible, key=lambda t: (t[0], t[1]))
-    return MixtureSelection(fit, curv, aic_table, rejected)
+    return MixtureSelection(fit, curv, aic_table, rejected, convergence)
 
 
 # -- internals -------------------------------------------------------------
 
 
-def _log_weighted_densities(ct, st, weights, mus, kappas) -> np.ndarray:
-    """log(alpha_j * vM(theta_i; mu_j, kappa_j)) as an (n, M) matrix."""
-    cosd = np.outer(ct, np.cos(mus)) + np.outer(st, np.sin(mus))
-    cosd *= kappas[None, :]
-    cosd += (np.log(weights) - _LOG_TWO_PI - np.log(i0e(kappas)) - kappas)[None, :]
-    return cosd
+def _unit_vectors(sample) -> np.ndarray:
+    """(cos theta, sin theta) of each observation as a (2, n) matrix."""
+    arr = np.atleast_1d(np.asarray(sample, dtype=float))
+    return np.stack((np.cos(arr), np.sin(arr)))
 
 
-def _row_logsumexp(logm: np.ndarray) -> tuple[np.ndarray, float]:
-    rowmax = logm.max(axis=1)
-    shifted = np.exp(logm - rowmax[:, None])
-    rowsum = shifted.sum(axis=1)
-    return shifted / rowsum[:, None], float((rowmax + np.log(rowsum)).sum())
-
-
-def _resp_from_log(logm: np.ndarray) -> tuple[np.ndarray, float]:
-    return _row_logsumexp(logm)
-
-
-def _m_step(ct, st, resp) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    n = ct.size
-    wsum = resp.sum(axis=0)
-    c = resp.T @ ct
-    s = resp.T @ st
-    mus = np.arctan2(s, c) % TWO_PI
-    rbar = np.clip(np.hypot(c, s) / np.maximum(wsum, 1e-300), 0.0, 1.0)
-    kappas = inverse_mean_resultant_ratio(rbar)
-    # Guard against components that lost all support this iteration.
-    alpha = np.maximum(wsum / n, 1e-300)
-    return alpha / alpha.sum(), mus, kappas
+def _as_batch(mixture: VonMisesMixture) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A mixture's parameters as one-restart (1, M) tensors."""
+    return mixture.weights[None, :], mixture.mus[None, :], mixture.kappas[None, :]
 
 
 def _initial_centers(arr: np.ndarray, M: int, rng: np.random.Generator) -> np.ndarray:
@@ -236,15 +215,15 @@ def _circ_dist(a: np.ndarray, b: float) -> np.ndarray:
     return np.minimum(diff, TWO_PI - diff)
 
 
-def _run_em_restarts(ct: np.ndarray, st: np.ndarray, mus0: np.ndarray, cfg: EmConfig) -> MixtureFit:
+def _run_em_restarts(x: np.ndarray, mus0: np.ndarray, cfg: EmConfig) -> MixtureFit:
     """All restarts advanced in lockstep; each stops at its own convergence.
 
     Parameter tensors have shape (restarts, M); the E-step works on
-    (restarts, n, M). A restart's parameters freeze once its relative
+    (restarts, M, n). A restart's parameters freeze once its relative
     log-likelihood change drops below tolerance, which reproduces the
     per-restart sequential behaviour exactly.
     """
-    n = ct.size
+    n = x.shape[1]
     nr, m = mus0.shape
     alpha = np.full((nr, m), 1.0 / m)
     mus = mus0.copy()
@@ -252,26 +231,28 @@ def _run_em_restarts(ct: np.ndarray, st: np.ndarray, mus0: np.ndarray, cfg: EmCo
     ll_prev = np.full(nr, -math.inf)
     active = np.ones(nr, dtype=bool)
     n_iters = np.zeros(nr, dtype=int)
-    traces: list[list[float]] = [[] for _ in range(nr)]
+    # Row it - 1 holds iteration it's log-likelihoods; restart r is active
+    # for iterations 1..n_iters[r], so its trace is a prefix of its column.
+    ll_hist = np.empty((cfg.max_iter, nr))
     for it in range(1, cfg.max_iter + 1):
-        resp, ll = _batch_e_step(ct, st, alpha, mus, kappas)
-        new_alpha, new_mus, new_kappas = _batch_m_step(ct, st, resp, n)
-        alpha[active] = new_alpha[active]
-        mus[active] = new_mus[active]
-        kappas[active] = new_kappas[active]
+        resp, ll = _batch_e_step(x, alpha, mus, kappas)
+        new_alpha, new_mus, new_kappas = _batch_m_step(x, resp)
+        keep = active[:, None]
+        np.copyto(alpha, new_alpha, where=keep)
+        np.copyto(mus, new_mus, where=keep)
+        np.copyto(kappas, new_kappas, where=keep)
         done = (ll_prev > -math.inf) & (
             np.abs(ll - ll_prev) <= cfg.rel_tol * np.maximum(np.abs(ll_prev), 1.0)
         )
-        for r in np.nonzero(active)[0]:
-            traces[r].append(float(ll[r]))
-            n_iters[r] = it
+        ll_hist[it - 1] = ll
+        n_iters[active] = it
         ll_prev = np.where(active, ll, ll_prev)
         active &= ~done
         if not active.any():
             break
-    _, ll_final = _batch_e_step(ct, st, alpha, mus, kappas)
+    _, ll_final = _batch_e_step(x, alpha, mus, kappas)
     best = int(np.argmax(ll_final))
-    trace = tuple(traces[best]) + (float(ll_final[best]),)
+    trace = tuple(ll_hist[: n_iters[best], best].tolist()) + (float(ll_final[best]),)
     mix = VonMisesMixture(alpha[best], mus[best], kappas[best])
     return _finalize(
         mix,
@@ -283,27 +264,35 @@ def _run_em_restarts(ct: np.ndarray, st: np.ndarray, mus0: np.ndarray, cfg: EmCo
     )
 
 
-def _batch_e_step(ct, st, alpha, mus, kappas):
-    """Responsibilities (restarts, n, M) and log-likelihood per restart."""
-    d = ct[None, :, None] * np.cos(mus)[:, None, :] + st[None, :, None] * np.sin(mus)[:, None, :]
-    d *= kappas[:, None, :]
-    d += (np.log(alpha) - _LOG_TWO_PI - np.log(i0e(kappas)) - kappas)[:, None, :]
-    rowmax = d.max(axis=2)
-    np.exp(d - rowmax[:, :, None], out=d)
-    rowsum = d.sum(axis=2)
-    ll = (rowmax + np.log(rowsum)).sum(axis=1)
-    d /= rowsum[:, :, None]
+def _batch_e_step(x, alpha, mus, kappas):
+    """Responsibilities (restarts, M, n) and log-likelihood per restart.
+
+    The (restarts, M) parameters meet the (2, n) unit vectors ``x`` in one
+    matmul; the log-sum-exp then reduces over components elementwise
+    across contiguous rows of length n.
+    """
+    w = kappas * np.array((np.cos(mus), np.sin(mus)))
+    d = w.transpose(1, 2, 0) @ x
+    d += (np.log(alpha) - _LOG_TWO_PI - np.log(i0e(kappas)) - kappas)[:, :, None]
+    colmax = d.max(axis=1)
+    d -= colmax[:, None, :]
+    np.exp(d, out=d)
+    colsum = d.sum(axis=1)
+    ll = (colmax + np.log(colsum)).sum(axis=1)
+    d /= colsum[:, None, :]
     return d, ll
 
 
-def _batch_m_step(ct, st, resp, n):
-    wsum = resp.sum(axis=1)
-    c = np.einsum("rnm,n->rm", resp, ct)
-    s = np.einsum("rnm,n->rm", resp, st)
+def _batch_m_step(x, resp):
+    """Weights, mean directions and concentrations from (restarts, M, n) responsibilities."""
+    wsum = resp.sum(axis=2)
+    cs = resp @ x.T
+    c, s = cs[:, :, 0], cs[:, :, 1]
     mus = np.arctan2(s, c) % TWO_PI
-    rbar = np.clip(np.hypot(c, s) / np.maximum(wsum, 1e-300), 0.0, 1.0)
+    rbar = np.minimum(np.hypot(c, s) / np.maximum(wsum, 1e-300), 1.0)
     kappas = inverse_mean_resultant_ratio(rbar.ravel()).reshape(rbar.shape)
-    alpha = np.maximum(wsum / n, 1e-300)
+    # Guard against components that lost all support this iteration.
+    alpha = np.maximum(wsum / x.shape[1], 1e-300)
     return alpha / alpha.sum(axis=1, keepdims=True), mus, kappas
 
 

@@ -177,7 +177,8 @@ def plug_in(
 
     When every candidate reference mixture fails (degenerate EM fit or
     non-finite curvature) the rule-of-thumb bandwidth is returned with the
-    fallback flag set.
+    fallback flag set. On both paths ``diagnostics["em"]`` maps each
+    fitted candidate M to its EM ``(n_iter, converged)``.
     """
     arr = np.atleast_1d(np.asarray(sample, dtype=float))
     n = arr.size
@@ -196,6 +197,7 @@ def plug_in(
                 "fallback_reason": "no valid reference mixture",
                 "rejected": dict(selection.rejected),
                 "kappa_hat": rt.diagnostics["kappa_hat"],
+                "em": selection.convergence,
             },
         )
 
@@ -207,7 +209,7 @@ def plug_in(
         selected_m=selection.best.M,
         aic_table=selection.aic_table,
         objective=obj,
-        diagnostics={"curvature": curvature, "optimizer": trace},
+        diagnostics={"curvature": curvature, "optimizer": trace, "em": selection.convergence},
     )
 
 

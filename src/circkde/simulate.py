@@ -12,7 +12,7 @@ import hashlib
 import json
 import math
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from importlib import resources
 
 import numpy as np
@@ -208,13 +208,7 @@ def _replicate_outcome(task) -> dict:
             elif selector == LCV:
                 res = lcv(sample, domain)
             elif selector == PI:
-                em_cfg = EmConfig(
-                    max_iter=em.max_iter,
-                    rel_tol=em.rel_tol,
-                    n_restarts=em.n_restarts,
-                    seed=em_seed,
-                )
-                res = plug_in(sample, em_cfg, domain)
+                res = plug_in(sample, replace(em, seed=em_seed), domain)
             else:
                 raise ValueError(f"unknown selector {selector}")
             grid = kde_grid(KdeFit(sample, res.nu), gridsize)

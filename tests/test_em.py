@@ -2,13 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
+from scipy.special import i0e, logsumexp
 
-from conftest import circular_distance
+from conftest import TWO_PI, circular_distance
 
-from circkde.bessel import KAPPA_CAP, is_saturated
+from circkde.bessel import KAPPA_CAP, is_saturated, mean_resultant_ratio
 from circkde.catalogue import get_model
 from circkde.em import (
     EmConfig,
+    _initial_centers,
     aic,
     aic_value,
     em_fit,
@@ -30,6 +33,54 @@ def m7_500():
 @pytest.fixture(scope="module")
 def m2_500():
     return get_model("M2").sample(500, make_rng(42, 2, 500))
+
+
+def reference_em(x, mus0, cfg: EmConfig):
+    """Textbook EM, one component at a time, with A^{-1} by Brent's method.
+
+    Same start (unit weights, unit concentrations, the given centres) and
+    the same stopping rule as ``em_fit``; returns (log-likelihood, n_iter,
+    converged) for the final parameters.
+    """
+    m = len(mus0)
+    alpha, mus, kappas = [1.0 / m] * m, list(mus0), [1.0] * m
+    a_cap = mean_resultant_ratio(KAPPA_CAP)
+
+    def log_dens():
+        return np.array(
+            [
+                math.log(alpha[j]) + kappas[j] * (np.cos(x - mus[j]) - 1.0)
+                - math.log(TWO_PI * i0e(kappas[j]))
+                for j in range(m)
+            ]
+        )
+
+    def a_inverse(rbar):
+        if rbar <= 0.0:
+            return 0.0
+        if rbar >= a_cap:
+            return KAPPA_CAP
+        return brentq(
+            lambda k: mean_resultant_ratio(k) - rbar, 1e-12, KAPPA_CAP, xtol=1e-14, rtol=1e-15
+        )
+
+    ll_prev, converged = -math.inf, False
+    for it in range(1, cfg.max_iter + 1):
+        logd = log_dens()
+        lse = logsumexp(logd, axis=0)
+        ll = float(lse.sum())
+        for j in range(m):
+            resp = np.exp(logd[j] - lse)
+            w = resp.sum()
+            c, s = (resp * np.cos(x)).sum(), (resp * np.sin(x)).sum()
+            alpha[j] = w / x.size
+            mus[j] = math.atan2(s, c) % TWO_PI
+            kappas[j] = a_inverse(min(math.hypot(c, s) / w, 1.0))
+        if it > 1 and abs(ll - ll_prev) <= cfg.rel_tol * max(abs(ll_prev), 1.0):
+            converged = True
+            break
+        ll_prev = ll
+    return float(logsumexp(log_dens(), axis=0).sum()), it, converged
 
 
 def degenerate_sample():
@@ -126,6 +177,16 @@ class TestEmFit:
         stepped, ll_input = em_step(x, truth)
         assert ll_input == pytest.approx(ll_before, abs=1e-9)
         assert log_likelihood(x, stepped) >= ll_before - 1e-9
+
+    @pytest.mark.parametrize("M", [2, 3, 5])
+    def test_matches_reference_em(self, M):
+        x = get_model("M7").sample(250, make_rng(21, 7, 250))
+        cfg = EmConfig(n_restarts=1, seed=5)
+        fit = em_fit(x, M, cfg)
+        centers = _initial_centers(x, M, make_rng(cfg.seed, M, 0))
+        ll, n_iter, converged = reference_em(x, centers, cfg)
+        assert (fit.n_iter, fit.converged) == (n_iter, converged)
+        assert fit.log_likelihood == pytest.approx(ll, rel=1e-9)
 
     def test_sample_size_floor(self):
         with pytest.raises(ValueError):

@@ -8,7 +8,7 @@ from conftest import series_bessel_i
 from test_em import degenerate_sample
 
 from circkde.catalogue import get_model
-from circkde.em import EmConfig, select_reference_mixture
+from circkde.em import EmConfig, em_fit, select_reference_mixture
 from circkde.kde import KdeFit, density_grid_of, ise, kde_grid
 from circkde.models import TWO_PI, wrap_angle
 from circkde.rng import make_rng
@@ -140,6 +140,16 @@ class TestPlugIn:
         assert res.selected_m in (2, 3, 4, 5)
         assert set(res.aic_table) <= {2, 3, 4, 5}
         assert res.objective is not None
+
+    @pytest.mark.parametrize("path", ["fitted", "fallback"])
+    def test_em_convergence_in_diagnostics(self, path, m7_500):
+        sample = m7_500 if path == "fitted" else degenerate_sample()
+        cfg = EmConfig(seed=16)
+        res = plug_in(sample, cfg)
+        assert res.fallback == (path == "fallback")
+        fits = {m: em_fit(sample, m, cfg) for m in (2, 3, 4, 5)}
+        assert res.diagnostics["em"] == {m: (f.n_iter, f.converged) for m, f in fits.items()}
+        assert res.diagnostics["em"] == select_reference_mixture(sample, cfg=cfg).convergence
 
     def test_beats_rule_of_thumb_on_antipodal_modes(self, m7_500):
         truth = density_grid_of(get_model("M7"))
