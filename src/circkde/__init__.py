@@ -34,7 +34,6 @@ from .models import (
     WrappedNormal,
     WrappedSkewNormal,
     curvature_integral,
-    mixture_second_derivative,
     wrap_angle,
 )
 from .rng import derive_seed, make_rng

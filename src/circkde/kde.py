@@ -1,11 +1,19 @@
-"""Von Mises-kernel circular density estimation and the ISE functional."""
+"""Von Mises-kernel circular density estimation and the ISE functional.
+
+Grids are evaluated by the direct kernel sum. The ORACLE curve, which
+needs the ISE of one sample at many concentrations, is computed from
+trigonometric moments instead (``_moment_ise``): the estimator's Fourier
+coefficients are phi_m rho_m(nu), with phi_m = mean(exp(-i m Theta)) and
+rho_m(nu) = I_m(nu) / I_0(nu) the kernel's characteristic function
+(Mardia & Jupp 2000, Directional Statistics, sec. 3.5).
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import i0e
+from scipy.special import i0e, ive
 
 from .bessel import KAPPA_CAP
 from .models import TWO_PI, wrap_angle
@@ -15,6 +23,11 @@ DEFAULT_GRIDSIZE = 1024
 
 # Cap on gridsize * n before grid evaluation is chunked to bound memory.
 _CHUNK_CELLS = 1 << 24
+
+# Orders whose kernel coefficient rho_m(nu_max) is at most this are dropped.
+# |phi_m| <= 1, so each dropped term is below double precision of the
+# estimator's Fourier coefficients, whose order 0 term is 1.
+_RHO_FLOOR = 1e-17
 
 
 @dataclass(frozen=True)
@@ -111,3 +124,82 @@ def _kernel_mean(thetas: np.ndarray, sample: np.ndarray, nu: float) -> np.ndarra
         block = thetas[lo : lo + step, None] - sample[None, :]
         out[lo : lo + step] = np.exp(nu * (np.cos(block) - 1.0)).mean(axis=1)
     return out / norm
+
+
+def _moment_ise(samples, truth: DensityGrid, nus) -> np.ndarray:
+    """``ise(kde_grid(KdeFit(s, nu), G), truth)`` for every sample s and nu.
+
+    Returns an array of shape (len(samples), nus.size), equal to the grid
+    ISE up to rounding. The G-point DFT of the estimator's grid is
+    F_k = sum over m = k (mod G) of rho_|m| phi_m (phi_-m = conj phi_m),
+    and by Parseval the grid ISE is (1/2 pi) sum_k w_k |F_k - gamma_k|^2
+    over k = 0..G/2, with w = (1, 2, ..., 2, 1) and gamma the truth's
+    scaled DFT. rho is computed once for all samples and each sample's
+    moments once for all nu, so each nu costs O(G) instead of O(G n).
+    """
+    nus = np.asarray(nus, dtype=float)
+    if nus.ndim != 1 or nus.size == 0:
+        raise ValueError("nus must be a non-empty one-dimensional array")
+    if not np.all((nus >= 0.0) & (nus <= KAPPA_CAP)):
+        raise ValueError(f"nu must lie in [0, {KAPPA_CAP}]")
+    g = truth.gridsize
+    half = g // 2
+    rho = _kernel_coefficients(nus)
+    orders = rho.shape[1]
+    # Spectral bins the retained orders can reach; truth terms beyond them
+    # enter the ISE as a constant tail.
+    bins = min(orders, half + 1)
+    gamma = np.fft.rfft(truth.values) * (TWO_PI / g)
+    weights = np.full(half + 1, 2.0)
+    weights[[0, half]] = 1.0
+    power = weights * np.abs(gamma) ** 2
+    tail = power[bins:].sum()
+    gamma, weights = gamma[:bins], weights[:bins]
+    # Order m >= 0 lands on bin m mod G; order -m on bin (G - m mod G) mod G.
+    mirror = (g - np.arange(bins)) % g
+    mirrored = mirror < min(orders, g)
+    out = np.empty((len(samples), nus.size))
+    for i, sample in enumerate(samples):
+        phi = _trig_moments(sample, orders, half)
+        folded = np.zeros((nus.size, min(orders, g)), dtype=complex)
+        for lo in range(0, orders, g):  # aliasing: orders m and m + G share a bin
+            hi = min(lo + g, orders)
+            folded[:, : hi - lo] += rho[:, lo:hi] * phi[lo:hi]
+        spectrum = folded[:, :bins]
+        spectrum[:, mirrored] += folded[:, mirror[mirrored]].conj()
+        spectrum[:, 0] -= rho[:, 0] * phi[0]  # order 0 was counted twice
+        diff = spectrum - gamma
+        out[i] = ((diff.real**2 + diff.imag**2) @ weights + tail) / TWO_PI
+    return out
+
+
+def _kernel_coefficients(nus: np.ndarray) -> np.ndarray:
+    """rho_m(nu) = I_m(nu) / I_0(nu), shape (nus.size, K), for m = 0..K-1.
+
+    K is the first order with rho_K(max nu) <= _RHO_FLOOR. rho_m(nu)
+    falls with m and rises with nu, so no dropped order exceeds the floor
+    at any nu of the grid.
+    """
+    nu_max = float(nus.max())
+    size = 64
+    while True:
+        tail = ive(np.arange(size), nu_max) / i0e(nu_max)
+        below = np.flatnonzero(tail <= _RHO_FLOOR)
+        if below.size:
+            break
+        size *= 2
+    orders = np.arange(int(below[0]))
+    return ive(orders[None, :], nus[:, None]) / i0e(nus)[:, None]
+
+
+def _trig_moments(sample, orders: int, block: int) -> np.ndarray:
+    """phi_m = mean(exp(-i m Theta)) for m = 0..orders-1, ``block`` orders at a time."""
+    arr = wrap_angle(np.atleast_1d(np.asarray(sample, dtype=float)))
+    if arr.size == 0:
+        raise ValueError("sample must be non-empty")
+    out = np.empty(orders, dtype=complex)
+    for lo in range(0, orders, block):
+        angles = np.arange(lo, min(lo + block, orders))[:, None] * arr[None, :]
+        out[lo : lo + block].real = np.cos(angles).mean(axis=1)
+        out[lo : lo + block].imag = -np.sin(angles).mean(axis=1)
+    return out

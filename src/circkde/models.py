@@ -245,17 +245,9 @@ class VonMisesMixture:
         self.mus = wrap_angle(m)
         self.kappas = k
 
-    @classmethod
-    def from_components(cls, weights, components) -> "VonMisesMixture":
-        return cls(weights, [c.mu for c in components], [c.kappa for c in components])
-
     @property
     def m(self) -> int:
         return self.weights.size
-
-    @property
-    def components(self) -> tuple[VonMisesComponent, ...]:
-        return tuple(VonMisesComponent(mu, k) for mu, k in zip(self.mus, self.kappas))
 
     def __repr__(self) -> str:
         parts = ", ".join(
@@ -335,11 +327,6 @@ def _sample_mixture(weights, parts, n: int, rng: np.random.Generator) -> np.ndar
         if where.size:
             out[where] = part.sample(where.size, rng)
     return out
-
-
-def mixture_second_derivative(mix: VonMisesMixture, theta):
-    """Second derivative of a von Mises mixture density at theta."""
-    return mix.second_derivative(theta)
 
 
 def curvature_integral(

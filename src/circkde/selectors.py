@@ -22,7 +22,9 @@ from scipy.special import i0e, ive
 
 from .bessel import KAPPA_CAP
 from .em import EmConfig, fit_single_von_mises, select_reference_mixture
-from .kde import DEFAULT_GRIDSIZE, DensityGrid, KdeFit, density_grid_of, ise, kde_grid
+from .kde import DEFAULT_GRIDSIZE, DensityGrid, _moment_ise, density_grid_of
+# Unused here, but perfbench/tracing.py wraps selectors.kde_grid and selectors.ise.
+from .kde import ise, kde_grid  # noqa: F401
 from .models import TWO_PI
 
 RT = "RT"
@@ -235,20 +237,15 @@ def lcv(sample, domain: NuSearchDomain | None = None) -> BandwidthResult:
     return BandwidthResult(nu=nu, selector=LCV, objective=-neg, diagnostics={"optimizer": trace})
 
 
-def oracle_mise_curve(
-    samples,
-    truth: DensityGrid,
-    nu_grid,
-    gridsize: int = DEFAULT_GRIDSIZE,
-) -> np.ndarray:
-    """ISE per (replicate, nu) for fixed samples; common random numbers across nu."""
-    nu_grid = np.asarray(nu_grid, dtype=float)
-    out = np.empty((len(samples), nu_grid.size))
-    for i, sample in enumerate(samples):
-        for j, nu in enumerate(nu_grid):
-            grid = kde_grid(KdeFit(sample, float(nu)), gridsize)
-            out[i, j] = ise(grid, truth)
-    return out
+def oracle_mise_curve(samples, truth: DensityGrid, nu_grid) -> np.ndarray:
+    """ISE per (replicate, nu) for fixed samples; common random numbers across nu.
+
+    Entry (i, j) equals ``ise(kde_grid(KdeFit(samples[i], nu_grid[j]),
+    truth.gridsize), truth)`` up to rounding. It is computed from the
+    samples' trigonometric moments, so each extra nu costs O(gridsize)
+    rather than a fresh grid of gridsize * n kernel evaluations.
+    """
+    return _moment_ise(samples, truth, nu_grid)
 
 
 def oracle_bandwidth(
@@ -271,7 +268,7 @@ def oracle_bandwidth(
         raise ValueError("nu_grid must be non-empty")
     truth = density_grid_of(model, gridsize)
     samples = [model.sample(n, rng) for _ in range(replicates)]
-    curve = oracle_mise_curve(samples, truth, nu_grid, gridsize).mean(axis=0)
+    curve = oracle_mise_curve(samples, truth, nu_grid).mean(axis=0)
     best = int(np.argmin(curve))
     return float(nu_grid[best]), float(curve[best])
 

@@ -251,7 +251,7 @@ def _oracle_cell(cfg, model_id, n, samples, truth) -> CellResult:
         if cfg.oracle_nu_grid is not None
         else default_oracle_grid(n)
     )
-    curve = oracle_mise_curve(samples, truth, nu_grid, cfg.gridsize)
+    curve = oracle_mise_curve(samples, truth, nu_grid)
     means = curve.mean(axis=0)
     best = int(np.argmin(means))
     mean, sd = _mean_sd(curve[:, best])
@@ -297,11 +297,14 @@ class CellComparison:
     window: float | None
     z_score: float | None
     passed: bool | None  # None: no reference cell available
+    incomplete: str | None = None  # why the cell fails whatever its window says
 
     def describe(self) -> str:
         if self.passed is None:
             return f"{self.model} n={self.n} {self.selector}: no reference value"
         verdict = "pass" if self.passed else "FAIL"
+        if self.incomplete:
+            verdict += f" ({self.incomplete})"
         return (
             f"{self.model} n={self.n} {self.selector}: {verdict} "
             f"observed={self.observed_x100:.4f} reference={self.reference_x100:.4f} "
@@ -329,11 +332,14 @@ def compare_to_reference(
 
     A cell passes when |observed - reference| (x100 scale) stays within
     k_sigma Monte Carlo standard errors of the reference, widened by
-    ``abs_slack`` relative slack. Missing reference cells are flagged, not
-    fatal.
+    ``abs_slack`` relative slack, and no replicate was lost: a cell with
+    selector errors, or with fewer replicates than the report's config
+    asks for, fails whatever its mean. Missing reference cells are
+    flagged, not fatal.
     """
     if reference is None:
         reference = load_reference_table()
+    configured = report.metadata.get("config", {}).get("replicates")
     out: list[CellComparison] = []
     for cell in report.cells:
         key = (cell.model, cell.n, cell.selector)
@@ -342,7 +348,12 @@ def compare_to_reference(
         if ref is None:
             out.append(CellComparison(cell.model, cell.n, cell.selector, obs, None, None, None, None))
             continue
-        se = (ref.sd_x100 / math.sqrt(cell.replicates)) if ref.sd_x100 else 0.0
+        lost = []
+        if cell.errors:
+            lost.append(f"{cell.errors} selector errors")
+        if configured is not None and cell.replicates < configured:
+            lost.append(f"{cell.replicates} of {configured} replicates")
+        se = ref.sd_x100 / math.sqrt(cell.replicates) if ref.sd_x100 and cell.replicates else 0.0
         window = k_sigma * se + abs_slack * ref.mise_x100
         diff = obs - ref.mise_x100
         z = diff / se if se > 0 else (0.0 if diff == 0 else math.inf * np.sign(diff))
@@ -355,7 +366,8 @@ def compare_to_reference(
                 reference_x100=ref.mise_x100,
                 window=window,
                 z_score=float(z),
-                passed=bool(abs(diff) <= window),
+                passed=bool(abs(diff) <= window) and not lost,
+                incomplete="; ".join(lost) or None,
             )
         )
     return out

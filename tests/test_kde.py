@@ -6,7 +6,16 @@ import pytest
 from conftest import series_bessel_i
 
 from circkde.catalogue import get_model
-from circkde.kde import DensityGrid, KdeFit, density_grid_of, ise, kde_evaluate, kde_grid
+from circkde.kde import (
+    DensityGrid,
+    KdeFit,
+    _kernel_coefficients,
+    _moment_ise,
+    density_grid_of,
+    ise,
+    kde_evaluate,
+    kde_grid,
+)
 from circkde.models import TWO_PI, VonMises, VonMisesMixture, wrap_angle
 from circkde.rng import make_rng
 
@@ -139,3 +148,54 @@ class TestIse:
         v1 = ise(kde_grid(fit, 1024), density_grid_of(truth, 1024))
         v2 = ise(kde_grid(fit, 2048), density_grid_of(truth, 2048))
         assert abs(v1 - v2) < 1e-8
+
+
+MOMENT_NUS = (0.01, 1.0, 30.0, 500.0, 1e5)
+
+
+def direct_ise(sample, nu, truth):
+    return ise(kde_grid(KdeFit(sample, nu), truth.gridsize), truth)
+
+
+class TestMomentIse:
+    @pytest.mark.parametrize("gridsize", [64, 512, 1024])
+    @pytest.mark.parametrize("mid", ["M1", "M2", "M7", "M16", "M20"])
+    def test_matches_grid_ise(self, mid, gridsize):
+        model = get_model(mid)
+        truth = density_grid_of(model, gridsize)
+        sample = model.sample(100, make_rng(8, int(mid[1:])))
+        expected = np.array([direct_ise(sample, nu, truth) for nu in MOMENT_NUS])
+        # all nu at once (orders sized by the largest) and each nu alone
+        together = _moment_ise([sample], truth, np.array(MOMENT_NUS))[0]
+        alone = [_moment_ise([sample], truth, np.array([nu]))[0, 0] for nu in MOMENT_NUS]
+        np.testing.assert_allclose(together, expected, rtol=1e-10, atol=0)
+        np.testing.assert_allclose(alone, expected, rtol=1e-10, atol=0)
+
+    def test_zero_nu_against_uniform_truth(self, m2_sample):
+        truth = density_grid_of(get_model("M1"), 1024)
+        (got,) = _moment_ise([m2_sample], truth, np.array([0.0]))[0]
+        assert direct_ise(m2_sample, 0.0, truth) == 0.0
+        assert abs(got) <= 1e-15
+
+    def test_orders_beyond_half_grid_are_folded(self, m2_sample):
+        # at gridsize 64 and nu = 500 the retained orders alias onto the 33 bins
+        assert _kernel_coefficients(np.array([500.0])).shape[1] > 64
+        truth = density_grid_of(get_model("M2"), 64)
+        got = _moment_ise([m2_sample], truth, np.array([500.0]))[0, 0]
+        assert got == pytest.approx(direct_ise(m2_sample, 500.0, truth), rel=1e-12)
+
+    def test_truncation_floor(self):
+        rho = _kernel_coefficients(np.array([0.5, 30.0]))
+        np.testing.assert_allclose(rho[:, 0], 1.0, rtol=1e-15)
+        assert rho[1, -1] > 1e-17  # last order kept at the largest nu
+        assert np.all(np.diff(rho, axis=1) <= 0)  # falls with the order
+        assert _kernel_coefficients(np.array([0.0])).shape == (1, 1)
+
+    def test_validation(self, m2_sample):
+        truth = density_grid_of(get_model("M2"), 64)
+        with pytest.raises(ValueError):
+            _moment_ise([m2_sample], truth, np.array([-1.0]))
+        with pytest.raises(ValueError):
+            _moment_ise([m2_sample], truth, np.array([]))
+        with pytest.raises(ValueError):
+            _moment_ise([np.array([])], truth, np.array([1.0]))

@@ -20,7 +20,6 @@ from circkde.models import (
     WrappedNormal,
     WrappedSkewNormal,
     curvature_integral,
-    mixture_second_derivative,
     wrap_angle,
 )
 from circkde.rng import make_rng
@@ -172,7 +171,7 @@ class TestSamplers:
 class TestSecondDerivative:
     def test_uniform_component_zero(self):
         mix = VonMisesMixture([1.0], [0.5], [0.0])
-        assert np.all(mixture_second_derivative(mix, grid(64)) == 0.0)
+        assert np.all(mix.second_derivative(grid(64)) == 0.0)
 
     def test_von_mises_at_mode(self):
         # at the mode the sine term vanishes: g'' = -kappa * g

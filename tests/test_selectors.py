@@ -22,6 +22,7 @@ from circkde.selectors import (
     lcv_objective,
     minimize_on_domain,
     oracle_bandwidth,
+    oracle_mise_curve,
     plug_in,
     rule_of_thumb,
     taylor_rule_nu,
@@ -260,6 +261,16 @@ class TestOracle:
         truth = density_grid_of(model, 512)
         expected = ise(kde_grid(KdeFit(sample, 2.5), 512), truth)
         assert mise0 == pytest.approx(expected, rel=1e-12)
+
+    def test_curve_matches_replicate_nu_loop(self):
+        model = get_model("M7")
+        truth = density_grid_of(model, 1024)
+        rng = make_rng(6, 7)
+        samples = [model.sample(n, rng) for n in (1, 30, 250)]
+        nu_grid = NuSearchDomain.for_sample_size(250).probes()
+        curve = oracle_mise_curve(samples, truth, nu_grid)
+        expected = [[ise(kde_grid(KdeFit(s, nu), 1024), truth) for nu in nu_grid] for s in samples]
+        np.testing.assert_allclose(curve, expected, rtol=1e-12, atol=0)
 
     def test_uniform_truth_prefers_smallest_nu(self):
         model = get_model("M1")

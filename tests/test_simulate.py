@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -159,3 +160,29 @@ class TestCompare:
         (comp,) = compare_to_reference(report, reference={})
         assert comp.passed is None
         assert "no reference" in comp.describe()
+
+    def test_lost_replicates_fail_the_gate(self, small_report):
+        cfg, report = small_report
+        cell = report.cell("M2", 100, PI)
+        # a reference centred on the observed value, so only lost replicates can fail
+        ref = {("M2", 100, PI): ReferenceCell("M2", 100, PI, 100 * cell.mean_ise, 100 * cell.sd_ise)}
+        variants = {
+            None: cell,
+            "1 selector errors": dataclasses.replace(cell, errors=1),
+            f"7 of {cfg.replicates} replicates": dataclasses.replace(cell, replicates=7),
+            f"1 selector errors; 7 of {cfg.replicates} replicates": dataclasses.replace(
+                cell, errors=1, replicates=7
+            ),
+        }
+        for reason, variant in variants.items():
+            (comp,) = compare_to_reference(dataclasses.replace(report, cells=(variant,)), ref)
+            assert comp.incomplete == reason
+            assert comp.passed is (reason is None)
+            assert ("FAIL (" + str(reason) + ")" in comp.describe()) is (reason is not None)
+
+    def test_cell_without_replicates_fails_without_raising(self, small_report):
+        _, report = small_report
+        empty = CellResult("M2", 100, RT, mean_ise=math.nan, sd_ise=math.nan, replicates=0, errors=8)
+        (comp,) = compare_to_reference(dataclasses.replace(report, cells=(empty,)))
+        assert comp.passed is False
+        assert "8 selector errors; 0 of 8 replicates" in comp.describe()
