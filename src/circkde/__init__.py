@@ -2,9 +2,7 @@
 
 from .bessel import (
     KAPPA_CAP,
-    ScaledBessel,
     bessel_i,
-    bessel_i_scaled,
     inverse_mean_resultant_ratio,
     is_saturated,
     mean_resultant_ratio,
@@ -48,7 +46,6 @@ from .selectors import (
     golden_section_minimize,
     lcv,
     lcv_objective,
-    oracle_bandwidth,
     plug_in,
     rule_of_thumb,
     taylor_rule_nu,
@@ -61,6 +58,7 @@ from .simulate import (
     compare_to_reference,
     load_reference_table,
     run_experiment,
+    select,
 )
 
 __version__ = "0.1.0"

@@ -12,8 +12,6 @@ oracle lives in the test suite.
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 import numpy as np
 from scipy.special import i0e, i1e, ive
 
@@ -28,48 +26,20 @@ OVERFLOW_THRESHOLD = 700.0
 _A_AT_CAP = float(i1e(KAPPA_CAP) / i0e(KAPPA_CAP))
 
 
-class ScaledBessel(NamedTuple):
-    """I_r(x) represented as ``value * exp(scale_exponent)``.
-
-    With the canonical scaling ``scale_exponent = x`` the mantissa
-    ``value = exp(-x) * I_r(x)`` lies in (0, 1] for x > 0, so the
-    representation stays finite for arbitrarily large arguments.
-    """
-
-    value: float
-    scale_exponent: float
-
-    @property
-    def log(self) -> float:
-        return float(np.log(self.value) + self.scale_exponent)
-
-    def unscaled(self) -> float:
-        """Reconstruct I_r(x); finite only while x stays below ~709."""
-        return float(self.value * np.exp(self.scale_exponent))
-
-
 def bessel_i(r: int, x: float) -> float:
     """I_r(x) for integer order r >= 0.
 
-    Raises OverflowError when x exceeds ``OVERFLOW_THRESHOLD``; use
-    :func:`bessel_i_scaled` there instead.
+    Raises OverflowError when x exceeds ``OVERFLOW_THRESHOLD``; there only
+    the scaled exp(-x) I_r(x) (``scipy.special.ive``) is finite.
     """
     _check_order(r)
     if x < 0:
         raise ValueError(f"x must be non-negative, got {x}")
     if x > OVERFLOW_THRESHOLD:
         raise OverflowError(
-            f"I_{r}({x}) overflows a float64; use bessel_i_scaled"
+            f"I_{r}({x}) overflows a float64; use the scaled exp(-x) I_r(x)"
         )
     return float(ive(r, x) * np.exp(x))
-
-
-def bessel_i_scaled(r: int, x: float) -> ScaledBessel:
-    """exp(-x) * I_r(x), finite and positive for any x >= 0 (r >= 1: x > 0)."""
-    _check_order(r)
-    if x < 0:
-        raise ValueError(f"x must be non-negative, got {x}")
-    return ScaledBessel(value=float(ive(r, x)), scale_exponent=float(x))
 
 
 def mean_resultant_ratio(kappa):
@@ -107,13 +77,6 @@ def inverse_mean_resultant_ratio(rbar):
 def is_saturated(kappa) -> bool:
     """True when a concentration sits at the representable cap."""
     return bool(np.all(np.asarray(kappa) >= KAPPA_CAP))
-
-
-def log_bessel_i0(kappa):
-    """log I_0(kappa), stable for kappa up to and beyond ``KAPPA_CAP``."""
-    k = np.asarray(kappa, dtype=float)
-    out = np.log(i0e(k)) + k
-    return float(out) if np.isscalar(kappa) or k.ndim == 0 else out
 
 
 def _check_order(r: int) -> None:

@@ -27,12 +27,10 @@ from .em import EmConfig
 from .kde import KdeFit, kde_grid
 from .models import TWO_PI, wrap_angle
 from .rng import derive_seed, make_rng
-from .selectors import LCV, ORACLE, PI, RT, NuSearchDomain, lcv, plug_in, rule_of_thumb
-from .simulate import (
-    ExperimentConfig,
-    compare_to_reference,
-    run_experiment,
-)
+from .selectors import LCV, ORACLE, PI, RT
+# Unused here, but perfbench/tracing.py wraps cli.rule_of_thumb, cli.plug_in and cli.lcv.
+from .selectors import lcv, plug_in, rule_of_thumb  # noqa: F401
+from .simulate import ExperimentConfig, compare_to_reference, run_experiment, select
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -154,7 +152,6 @@ def cmd_fit(args) -> int:
     selectors = _parse_selectors(args.selectors)
     outdir = Path(args.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
-    domain = NuSearchDomain.for_sample_size(sample.size)
 
     report: dict = {
         "input": args.input,
@@ -163,13 +160,9 @@ def cmd_fit(args) -> int:
         "selectors": {},
         "files": {},
     }
+    em = EmConfig(seed=derive_seed(args.seed, 11))
     for name in selectors:
-        if name == RT:
-            res = rule_of_thumb(sample)
-        elif name == PI:
-            res = plug_in(sample, EmConfig(seed=derive_seed(args.seed, 11)), domain)
-        else:
-            res = lcv(sample, domain)
+        res = select(name, sample, em)
         grid = kde_grid(KdeFit(sample, res.nu), args.gridsize)
         dens_path = outdir / f"density_{name}.csv"
         with dens_path.open("w") as f:
@@ -224,14 +217,14 @@ def cmd_simulate(args) -> int:
     if args.full:
         models = catalogue.MODEL_IDS
         sizes = (100, 250, 500)
-        replicates = args.replicates or 1000
+        replicates = 1000 if args.replicates is None else args.replicates
     else:
         models = tuple(m.strip() for m in args.models.split(",") if m.strip())
         try:
             sizes = tuple(int(s) for s in args.sizes.split(",") if s.strip())
         except ValueError:
             raise CliError(f"--sizes must be a comma list of integers, got {args.sizes!r}") from None
-        replicates = args.replicates or ExperimentConfig().replicates
+        replicates = ExperimentConfig().replicates if args.replicates is None else args.replicates
     selectors = _parse_selectors(args.selectors, allowed=(RT, PI, LCV, ORACLE))
     try:
         cfg = ExperimentConfig(

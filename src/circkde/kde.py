@@ -21,7 +21,7 @@ from .models import TWO_PI, wrap_angle
 # Large enough for 1e-8 quadrature agreement on every density in the study.
 DEFAULT_GRIDSIZE = 1024
 
-# Cap on gridsize * n before grid evaluation is chunked to bound memory.
+# Cap on the kernel values one block of a grid evaluation holds at once.
 _CHUNK_CELLS = 1 << 24
 
 # Orders whose kernel coefficient rho_m(nu_max) is at most this are dropped.
@@ -69,7 +69,7 @@ class DensityGrid:
 
     @property
     def thetas(self) -> np.ndarray:
-        return np.arange(self.gridsize) * (TWO_PI / self.gridsize)
+        return grid_thetas(self.gridsize)
 
     def integral(self) -> float:
         """Periodic trapezoid integral over [0, 2 pi)."""
@@ -114,16 +114,15 @@ def ise(a: DensityGrid, b: DensityGrid) -> float:
 
 
 def _kernel_mean(thetas: np.ndarray, sample: np.ndarray, nu: float) -> np.ndarray:
-    norm = TWO_PI * i0e(nu)
-    if thetas.size * sample.size <= _CHUNK_CELLS:
-        w = np.exp(nu * (np.cos(thetas[:, None] - sample[None, :]) - 1.0))
-        return w.mean(axis=1) / norm
+    # One block whenever thetas.size * sample.size <= _CHUNK_CELLS. A single
+    # expression keeps at most two block-sized temporaries alive at once.
     out = np.empty(thetas.size)
     step = max(1, _CHUNK_CELLS // sample.size)
     for lo in range(0, thetas.size, step):
-        block = thetas[lo : lo + step, None] - sample[None, :]
-        out[lo : lo + step] = np.exp(nu * (np.cos(block) - 1.0)).mean(axis=1)
-    return out / norm
+        out[lo : lo + step] = np.exp(
+            nu * (np.cos(thetas[lo : lo + step, None] - sample[None, :]) - 1.0)
+        ).mean(axis=1)
+    return out / (TWO_PI * i0e(nu))
 
 
 def _moment_ise(samples, truth: DensityGrid, nus) -> np.ndarray:

@@ -1,6 +1,7 @@
 """Bandwidth selectors for the von Mises-kernel estimator.
 
-Three data-driven selectors plus the simulation oracle:
+Three data-driven selectors, which ``simulate.select`` dispatches by name,
+plus the simulation oracle's ISE curve:
 
 * ``rule_of_thumb`` - closed-form bandwidth from a single fitted von Mises.
 * ``plug_in``       - AIC-sized von Mises mixture reference, its curvature
@@ -8,8 +9,8 @@ Three data-driven selectors plus the simulation oracle:
                       numerically. Falls back to the rule of thumb when no
                       valid reference mixture exists.
 * ``lcv``           - maximizes the leave-one-out log-likelihood.
-* ``oracle_bandwidth`` - grid minimizer of the replicate-averaged ISE
-                      against a known truth (benchmark only).
+* ``oracle_mise_curve`` - ISE per (replicate, nu) against a known truth,
+                      minimized on average by ``simulate`` (benchmark only).
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from scipy.special import i0e, ive
 
 from .bessel import KAPPA_CAP
 from .em import EmConfig, fit_single_von_mises, select_reference_mixture
-from .kde import DEFAULT_GRIDSIZE, DensityGrid, _moment_ise, density_grid_of
+from .kde import DensityGrid, _moment_ise
 # Unused here, but perfbench/tracing.py wraps selectors.kde_grid and selectors.ise.
 from .kde import ise, kde_grid  # noqa: F401
 from .models import TWO_PI
@@ -246,31 +247,6 @@ def oracle_mise_curve(samples, truth: DensityGrid, nu_grid) -> np.ndarray:
     rather than a fresh grid of gridsize * n kernel evaluations.
     """
     return _moment_ise(samples, truth, nu_grid)
-
-
-def oracle_bandwidth(
-    model,
-    n: int,
-    replicates: int,
-    rng: np.random.Generator,
-    nu_grid,
-    gridsize: int = DEFAULT_GRIDSIZE,
-) -> tuple[float, float]:
-    """Benchmark bandwidth: the grid nu minimizing the replicate-averaged ISE.
-
-    Each replicate sample is reused for every grid point, so the curve is
-    a common-random-numbers estimate of MISE(nu).
-    """
-    if replicates < 1:
-        raise ValueError("replicates must be >= 1")
-    nu_grid = np.asarray(nu_grid, dtype=float)
-    if nu_grid.size == 0:
-        raise ValueError("nu_grid must be non-empty")
-    truth = density_grid_of(model, gridsize)
-    samples = [model.sample(n, rng) for _ in range(replicates)]
-    curve = oracle_mise_curve(samples, truth, nu_grid).mean(axis=0)
-    best = int(np.argmin(curve))
-    return float(nu_grid[best]), float(curve[best])
 
 
 def _pairwise_cos(arr: np.ndarray) -> np.ndarray:

@@ -2,8 +2,10 @@
 
 One cell of the study is a (model, sample size, selector) triple; its
 replicates share samples (common random numbers) so selector comparisons
-are paired. Reference values transcribed from the published study ship as
-a JSON data file and drive the regression gate.
+are paired. ``select`` turns a selector name into a bandwidth for the study
+and for ``circkde fit``; ORACLE minimizes the replicate-averaged ISE over
+``default_oracle_grid(n)``. Reference values transcribed from the published
+study ship as a JSON data file and drive the regression gate.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from .selectors import (
     PI,
     RT,
     SELECTORS,
+    BandwidthResult,
     NuSearchDomain,
     lcv,
     oracle_mise_curve,
@@ -55,12 +58,13 @@ class ExperimentConfig:
     base_seed: int = 20260810
     gridsize: int = DEFAULT_GRIDSIZE
     em: EmConfig = field(default_factory=EmConfig)
-    nu_domain: NuSearchDomain | None = None  # None: per-n default
-    oracle_nu_grid: tuple[float, ...] | None = None
 
     def __post_init__(self):
         if self.replicates < 1:
             raise ValueError("replicates must be >= 1")
+        small = [n for n in self.sample_sizes if n < 2]
+        if small:  # LCV needs two observations
+            raise ValueError(f"sample sizes must be >= 2, got {small}")
         unknown = [m for m in self.models if m not in catalogue.CATALOGUE]
         if unknown:
             raise ValueError(f"unknown model ids: {unknown}")
@@ -69,9 +73,7 @@ class ExperimentConfig:
             raise ValueError(f"unknown selectors: {bad}")
 
     def canonical(self) -> dict:
-        d = asdict(self)
-        d["em"] = asdict(self.em)
-        return d
+        return asdict(self)
 
     def config_hash(self) -> str:
         blob = json.dumps(self.canonical(), sort_keys=True).encode()
@@ -168,12 +170,11 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> SimulationReport:
                     model.sample(n, make_rng(cfg.base_seed, midx, n, rep))
                     for rep in range(cfg.replicates)
                 ]
-                domain = cfg.nu_domain or NuSearchDomain.for_sample_size(n)
                 data_driven = tuple(s for s in cfg.selectors if s != ORACLE)
                 if data_driven:
                     tasks = [
-                        (samples[rep], data_driven, truth.values, cfg.gridsize,
-                         derive_seed(cfg.base_seed, midx, n, rep, 97), cfg.em, domain)
+                        (samples[rep], data_driven, truth.values,
+                         derive_seed(cfg.base_seed, midx, n, rep, 97), cfg.em)
                         for rep in range(cfg.replicates)
                     ]
                     if pool is not None:
@@ -183,7 +184,7 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> SimulationReport:
                     for selector in data_driven:
                         cells.append(_aggregate_cell(model_id, n, selector, outcomes))
                 if ORACLE in cfg.selectors:
-                    cells.append(_oracle_cell(cfg, model_id, n, samples, truth))
+                    cells.append(_oracle_cell(model_id, n, samples, truth))
     finally:
         if pool is not None:
             pool.shutdown()
@@ -196,22 +197,32 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> SimulationReport:
     return SimulationReport(cells=tuple(cells), metadata=meta)
 
 
+def select(name: str, sample, em: EmConfig) -> BandwidthResult:
+    """RT, PI (fitting with ``em`` as given, seed included) or LCV on one sample.
+
+    The selectors are this module's globals, looked up at call time, so
+    rebinding ``simulate.plug_in`` (as perfbench/tracing.py does) reaches
+    every caller.
+    """
+    if name == RT:
+        return rule_of_thumb(sample)
+    if name == PI:
+        return plug_in(sample, em)
+    if name == LCV:
+        return lcv(sample)
+    raise ValueError(f"unknown selector {name!r}")
+
+
 def _replicate_outcome(task) -> dict:
     """All data-driven selectors on one replicate sample; shared truth grid."""
-    sample, selectors, truth_values, gridsize, em_seed, em, domain = task
+    sample, selectors, truth_values, em_seed, em = task
     truth = DensityGrid(truth_values)
+    em = replace(em, seed=em_seed)
     out: dict = {}
     for selector in selectors:
         try:
-            if selector == RT:
-                res = rule_of_thumb(sample)
-            elif selector == LCV:
-                res = lcv(sample, domain)
-            elif selector == PI:
-                res = plug_in(sample, replace(em, seed=em_seed), domain)
-            else:
-                raise ValueError(f"unknown selector {selector}")
-            grid = kde_grid(KdeFit(sample, res.nu), gridsize)
+            res = select(selector, sample, em)
+            grid = kde_grid(KdeFit(sample, res.nu), truth.gridsize)
             out[selector] = {
                 "ise": ise(grid, truth),
                 "fallback": res.fallback,
@@ -245,12 +256,8 @@ def _aggregate_cell(model_id, n, selector, outcomes) -> CellResult:
     )
 
 
-def _oracle_cell(cfg, model_id, n, samples, truth) -> CellResult:
-    nu_grid = (
-        np.asarray(cfg.oracle_nu_grid, dtype=float)
-        if cfg.oracle_nu_grid is not None
-        else default_oracle_grid(n)
-    )
+def _oracle_cell(model_id, n, samples, truth) -> CellResult:
+    nu_grid = default_oracle_grid(n)
     curve = oracle_mise_curve(samples, truth, nu_grid)
     means = curve.mean(axis=0)
     best = int(np.argmin(means))

@@ -11,12 +11,14 @@ from circkde.bessel import (
     KAPPA_CAP,
     OVERFLOW_THRESHOLD,
     bessel_i,
-    bessel_i_scaled,
     inverse_mean_resultant_ratio,
     is_saturated,
-    log_bessel_i0,
     mean_resultant_ratio,
 )
+from circkde.em import log_likelihood
+from circkde.kde import KdeFit, kde_evaluate
+from circkde.models import TWO_PI, VonMises, VonMisesMixture
+from circkde.selectors import amise
 
 
 class TestBesselI:
@@ -57,7 +59,7 @@ class TestBesselI:
     @given(x=st.floats(min_value=1e-6, max_value=100.0))
     @settings(max_examples=60, deadline=None)
     def test_order_decreasing(self, x):
-        i0, i1, i2 = (bessel_i_scaled(r, x).value for r in (0, 1, 2))
+        i0, i1, i2 = (bessel_i(r, x) for r in (0, 1, 2))
         assert i0 > i1 > i2
 
     def test_recurrence_identity(self):
@@ -69,38 +71,47 @@ class TestBesselI:
 
 
 class TestScaled:
+    """exp(-x) I_r(x) where the library uses it: normalizers, A(kappa), AMISE."""
+
     def test_at_zero(self):
-        sb = bessel_i_scaled(0, 0.0)
-        assert sb.value == 1.0 and sb.scale_exponent == 0.0
+        # i0e(0) = 1: the nu = 0 kernel estimate is exactly uniform
+        assert kde_evaluate(KdeFit([1.0], 0.0), 2.0) == 1.0 / TWO_PI
 
     def test_scaled_value_example(self):
-        assert bessel_i_scaled(0, 1.0).value == pytest.approx(
-            math.exp(-1.0) * series_bessel_i(0, 1.0), rel=1e-12
+        # the mode of vM(0, 1) is exp(1) / (2 pi I0(1))
+        assert VonMises(0.0, 1.0).density(0.0) == pytest.approx(
+            math.exp(1.0) / (TWO_PI * series_bessel_i(0, 1.0)), rel=1e-12
         )
 
     def test_large_argument_via_mpmath(self):
         mp = pytest.importorskip("mpmath")
         mp.mp.dps = 40
-        expected = float(mp.besseli(2, 50) * mp.exp(-50))
-        assert bessel_i_scaled(2, 50.0).value == pytest.approx(expected, rel=1e-12)
-        assert bessel_i_scaled(2, 50.0).value > 0.0
+        expected = float(mp.besseli(1, 50) / mp.besseli(0, 50))
+        assert mean_resultant_ratio(50.0) == pytest.approx(expected, rel=1e-12)
+        n, curvature = 100, 3.0
+        bias = (1 - mp.besseli(2, 50) / mp.besseli(0, 50)) ** 2 / 16 * curvature
+        variance = mp.besseli(0, 100) / (2 * n * mp.pi * mp.besseli(0, 50) ** 2)
+        assert amise(50.0, n, curvature) == pytest.approx(float(bias + variance), rel=1e-12)
 
     def test_finite_for_huge_arguments(self):
-        for x in (1e3, 1e5, 1e6):
-            sb = bessel_i_scaled(0, x)
-            assert 0.0 < sb.value <= 1.0
-            assert sb.scale_exponent == x
+        for kappa in (1e3, 1e4, KAPPA_CAP):
+            mode = VonMises(0.0, kappa).density(0.0)
+            # 1 / (2 pi i0e(kappa)) ~ sqrt(kappa / (2 pi)) (1 - 1 / (8 kappa))
+            assert mode == pytest.approx(math.sqrt(kappa / TWO_PI), rel=1e-3)
+            assert kde_evaluate(KdeFit([0.0], kappa), 0.0) == pytest.approx(mode, rel=1e-15)
+            assert 0.0 <= VonMises(0.0, kappa).density(math.pi) < 1e-300
 
     def test_scaling_consistency(self):
         for x in np.linspace(0.1, 50.0, 40):
-            sb = bessel_i_scaled(1, x)
-            assert bessel_i(1, x) == pytest.approx(sb.value * math.exp(x), rel=1e-10)
-            assert sb.unscaled() == pytest.approx(bessel_i(1, x), rel=1e-10)
+            assert mean_resultant_ratio(x) == pytest.approx(
+                bessel_i(1, x) / bessel_i(0, x), rel=1e-10
+            )
 
     def test_log_property(self):
-        sb = bessel_i_scaled(0, 30.0)
-        assert sb.log == pytest.approx(math.log(series_bessel_i(0, 30.0)), rel=1e-12)
-        assert log_bessel_i0(30.0) == pytest.approx(sb.log, rel=1e-12)
+        # log vM(0, 30) at its mode is 30 - log(2 pi) - log I0(30)
+        mix = VonMisesMixture([1.0], [0.0], [30.0])
+        expected = 30.0 - math.log(TWO_PI) - math.log(series_bessel_i(0, 30.0))
+        assert log_likelihood([0.0], mix) == pytest.approx(expected, rel=1e-12)
 
 
 class TestMeanResultantRatio:

@@ -9,8 +9,11 @@ from conftest import chi_square_gof_pvalue
 import circkde.simulate
 from circkde.catalogue import get_model
 from circkde.cli import main, read_angle_file
+from circkde.em import EmConfig
 from circkde.models import TWO_PI
-from circkde.simulate import ReferenceCell
+from circkde.rng import derive_seed
+from circkde.selectors import LCV, PI, RT
+from circkde.simulate import ReferenceCell, select
 
 
 def run_cli(*args):
@@ -158,6 +161,17 @@ class TestFitCommand:
         assert rose.shape[0] == 18
         assert int(rose[:, 2].sum()) == 200
 
+    def test_report_nu_matches_select(self, tmp_path):
+        f = tmp_path / "m7.txt"
+        run_cli("sample", "M7", "200", "--seed", "8", "--output", str(f))
+        out = tmp_path / "fit"
+        assert run_cli("fit", str(f), "--seed", "3", "--output-dir", str(out)) == 0
+        report = json.loads((out / "fit_report.json").read_text())
+        sample = read_angle_file(str(f))
+        em = EmConfig(seed=derive_seed(3, 11))
+        for name in (RT, PI, LCV):
+            assert report["selectors"][name]["nu"] == select(name, sample, em).nu
+
     def test_unit_round_trip_bandwidths(self, tmp_path):
         rad, deg = tmp_path / "r.txt", tmp_path / "d.txt"
         run_cli("sample", "M2", "100", "--seed", "4", "--output", str(rad))
@@ -209,6 +223,23 @@ class TestSimulateCommand:
 
     def test_unknown_selector(self, tmp_path):
         assert run_cli("simulate", "--selectors", "zz", "--output-dir", str(tmp_path)) == 1
+
+    @pytest.mark.parametrize("extra", [(), ("--full",)])
+    def test_zero_replicates_rejected(self, tmp_path, capsys, extra):
+        code = run_cli("simulate", "--replicates", "0", *extra, "--output-dir", str(tmp_path))
+        assert code == 1
+        assert "circkde: error: replicates must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "simulation_report.json").exists()
+
+    @pytest.mark.parametrize("sizes", ["0", "-5", "1", "100,1"])
+    def test_sample_sizes_below_two_rejected(self, tmp_path, capsys, sizes):
+        code = run_cli(
+            "simulate", f"--sizes={sizes}", "--selectors", "lcv", "--replicates", "1",
+            "--output-dir", str(tmp_path),
+        )
+        assert code == 1
+        assert "circkde: error: sample sizes must be >= 2" in capsys.readouterr().err
+        assert not (tmp_path / "simulation_report.json").exists()
 
 
 class TestUsageErrors:

@@ -13,6 +13,7 @@ from circkde.kde import KdeFit, density_grid_of, ise, kde_grid
 from circkde.models import TWO_PI, wrap_angle
 from circkde.rng import make_rng
 from circkde.selectors import (
+    ORACLE,
     PI,
     RT,
     NuSearchDomain,
@@ -21,12 +22,12 @@ from circkde.selectors import (
     lcv,
     lcv_objective,
     minimize_on_domain,
-    oracle_bandwidth,
     oracle_mise_curve,
     plug_in,
     rule_of_thumb,
     taylor_rule_nu,
 )
+from circkde.simulate import ExperimentConfig, default_oracle_grid, run_experiment
 
 
 def vm_curvature(kappa: float) -> float:
@@ -252,16 +253,6 @@ class TestDomain:
 
 
 class TestOracle:
-    def test_degenerate_reduction(self):
-        model = get_model("M2")
-        rng = make_rng(3, 2)
-        nu0, mise0 = oracle_bandwidth(model, 100, 1, rng, [2.5], gridsize=512)
-        assert nu0 == 2.5
-        sample = model.sample(100, make_rng(3, 2))
-        truth = density_grid_of(model, 512)
-        expected = ise(kde_grid(KdeFit(sample, 2.5), 512), truth)
-        assert mise0 == pytest.approx(expected, rel=1e-12)
-
     def test_curve_matches_replicate_nu_loop(self):
         model = get_model("M7")
         truth = density_grid_of(model, 1024)
@@ -273,14 +264,9 @@ class TestOracle:
         np.testing.assert_allclose(curve, expected, rtol=1e-12, atol=0)
 
     def test_uniform_truth_prefers_smallest_nu(self):
-        model = get_model("M1")
-        grid = np.geomspace(0.01, 50, 30)
-        nu0, mise0 = oracle_bandwidth(model, 500, 40, make_rng(4, 1), grid, gridsize=512)
-        assert nu0 == pytest.approx(grid[0])
-        assert mise0 < 1e-4
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            oracle_bandwidth(get_model("M1"), 10, 0, make_rng(1), [1.0])
-        with pytest.raises(ValueError):
-            oracle_bandwidth(get_model("M1"), 10, 1, make_rng(1), [])
+        cfg = ExperimentConfig(
+            models=("M1",), sample_sizes=(500,), replicates=40, selectors=(ORACLE,), base_seed=4
+        )
+        cell = run_experiment(cfg).cell("M1", 500, ORACLE)
+        assert cell.oracle_nu == default_oracle_grid(500)[0]
+        assert cell.mean_ise < 1e-4

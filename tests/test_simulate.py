@@ -4,7 +4,11 @@ import math
 
 import pytest
 
-from circkde.selectors import LCV, ORACLE, PI, RT
+from circkde import simulate
+from circkde.catalogue import get_model
+from circkde.em import EmConfig
+from circkde.rng import make_rng
+from circkde.selectors import LCV, ORACLE, PI, RT, BandwidthResult, lcv, plug_in, rule_of_thumb
 from circkde.simulate import (
     CellResult,
     ExperimentConfig,
@@ -13,6 +17,7 @@ from circkde.simulate import (
     compare_to_reference,
     load_reference_table,
     run_experiment,
+    select,
 )
 
 
@@ -91,6 +96,60 @@ class TestRunExperiment:
             ExperimentConfig(replicates=0)
         with pytest.raises(ValueError):
             ExperimentConfig(selectors=("XX",))
+        for n in (1, 0, -5):  # LCV needs two observations
+            with pytest.raises(ValueError, match="sample sizes must be >= 2"):
+                ExperimentConfig(sample_sizes=(100, n))
+
+
+class TestSelect:
+    @pytest.fixture(scope="class")
+    def sample(self):
+        return get_model("M7").sample(150, make_rng(5, 7))
+
+    def test_matches_direct_calls(self, sample):
+        em = EmConfig(seed=1)
+        assert select(RT, sample, em).nu == rule_of_thumb(sample).nu
+        assert select(PI, sample, em).nu == plug_in(sample, em).nu
+        assert select(LCV, sample, em).nu == lcv(sample).nu
+
+    def test_pi_follows_em_seed(self, sample):
+        # seeds 1 and 2 start EM differently on this sample and pick different nu
+        nus = [select(PI, sample, EmConfig(seed=seed)).nu for seed in (1, 2)]
+        assert nus == [plug_in(sample, EmConfig(seed=seed)).nu for seed in (1, 2)]
+        assert nus[0] != nus[1]
+
+    @pytest.mark.parametrize("name", [ORACLE, "XX", "rt"])
+    def test_unknown_name_rejected(self, sample, name):
+        with pytest.raises(ValueError, match="unknown selector"):
+            select(name, sample, EmConfig())
+
+    def test_looks_up_selectors_at_call_time(self, sample, monkeypatch):
+        # perfbench's tracer relies on this: it rebinds simulate.plug_in
+        calls = []
+
+        def fake_plug_in(s, cfg=None, domain=None):
+            calls.append(cfg)
+            return BandwidthResult(nu=1.5, selector=PI)
+
+        monkeypatch.setattr(simulate, "plug_in", fake_plug_in)
+        em = EmConfig(seed=123)
+        assert select(PI, sample, em).nu == 1.5
+        assert calls == [em]
+
+    def test_study_goes_through_select(self, monkeypatch):
+        calls = []
+
+        def fake_lcv(s, domain=None):
+            calls.append(s.size)
+            return BandwidthResult(nu=2.0, selector=LCV)
+
+        monkeypatch.setattr(simulate, "lcv", fake_lcv)
+        cfg = ExperimentConfig(
+            models=("M2",), sample_sizes=(50,), replicates=3, selectors=(LCV,), base_seed=1
+        )
+        (cell,) = run_experiment(cfg).cells
+        assert calls == [50, 50, 50]
+        assert cell.replicates == 3 and cell.errors == 0
 
 
 class TestReferenceTable:
