@@ -1,11 +1,14 @@
 """Von Mises-kernel circular density estimation and the ISE functional.
 
-Grids are evaluated by the direct kernel sum. The ORACLE curve, which
-needs the ISE of one sample at many concentrations, is computed from
-trigonometric moments instead (``_moment_ise``): the estimator's Fourier
-coefficients are phi_m rho_m(nu), with phi_m = mean(exp(-i m Theta)) and
-rho_m(nu) = I_m(nu) / I_0(nu) the kernel's characteristic function
-(Mardia & Jupp 2000, Directional Statistics, sec. 3.5).
+Grids are evaluated by the direct kernel sum. Work that needs one sample
+at many concentrations uses trigonometric moments instead: the
+estimator's Fourier coefficients are phi_m rho_m(nu), with
+phi_m = mean(exp(-i m Theta)) and rho_m(nu) = I_m(nu) / I_0(nu) the
+kernel's characteristic function (Mardia & Jupp 2000, Directional
+Statistics, sec. 3.5). ``_moment_ise`` gives the ORACLE curve from them,
+and ``selectors.lcv`` the estimator at its own sample points, from a
+K x n table in place of an n x n kernel matrix. Both keep the K orders
+``_order_count`` retains.
 """
 
 from __future__ import annotations
@@ -172,23 +175,30 @@ def _moment_ise(samples, truth: DensityGrid, nus) -> np.ndarray:
     return out
 
 
-def _kernel_coefficients(nus: np.ndarray) -> np.ndarray:
-    """rho_m(nu) = I_m(nu) / I_0(nu), shape (nus.size, K), for m = 0..K-1.
+def _order_count(nu_max: float) -> int:
+    """The first order K with rho_K(nu_max) <= _RHO_FLOOR.
 
-    K is the first order with rho_K(max nu) <= _RHO_FLOOR. rho_m(nu)
-    falls with m and rises with nu, so no dropped order exceeds the floor
-    at any nu of the grid.
+    rho_m(nu) falls with m and rises with nu, so no order from K on
+    exceeds the floor at any nu <= nu_max.
     """
-    nu_max = float(nus.max())
     size = 64
     while True:
         tail = ive(np.arange(size), nu_max) / i0e(nu_max)
         below = np.flatnonzero(tail <= _RHO_FLOOR)
         if below.size:
-            break
+            return int(below[0])
         size *= 2
-    orders = np.arange(int(below[0]))
-    return ive(orders[None, :], nus[:, None]) / i0e(nus)[:, None]
+
+
+def _kernel_coefficients(nus: np.ndarray, orders: int | None = None) -> np.ndarray:
+    """rho_m(nu) = I_m(nu) / I_0(nu), shape (nus.size, K), for m = 0..K-1.
+
+    K is ``orders``, by default ``_order_count(max nu)``.
+    """
+    if orders is None:
+        orders = _order_count(float(nus.max()))
+    m = np.arange(orders)
+    return ive(m[None, :], nus[:, None]) / i0e(nus)[:, None]
 
 
 def _trig_moments(sample, orders: int, block: int) -> np.ndarray:

@@ -8,7 +8,10 @@ plus the simulation oracle's ISE curve:
                       integral plugged into the asymptotic MISE, minimized
                       numerically. Falls back to the rule of thumb when no
                       valid reference mixture exists.
-* ``lcv``           - maximizes the leave-one-out log-likelihood.
+* ``lcv``           - maximizes the leave-one-out log-likelihood, with the
+                      leave-one-out sums taken from the sample's
+                      trigonometric moments: O(K n) memory and time per
+                      nu, not O(n^2).
 * ``oracle_mise_curve`` - ISE per (replicate, nu) against a known truth,
                       minimized on average by ``simulate`` (benchmark only).
 """
@@ -23,10 +26,10 @@ from scipy.special import i0e, ive
 
 from .bessel import KAPPA_CAP
 from .em import EmConfig, fit_single_von_mises, select_reference_mixture
-from .kde import DensityGrid, _moment_ise
+from .kde import DensityGrid, _kernel_coefficients, _moment_ise, _order_count
 # Unused here, but perfbench/tracing.py wraps selectors.kde_grid and selectors.ise.
 from .kde import ise, kde_grid  # noqa: F401
-from .models import TWO_PI
+from .models import TWO_PI, wrap_angle
 
 RT = "RT"
 PI = "PI"
@@ -35,6 +38,16 @@ ORACLE = "ORACLE"
 SELECTORS = (RT, PI, LCV, ORACLE)
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+# LCV rows whose moment-form leave-one-out sum falls below this are
+# recomputed by the direct sum. The moment form subtracts the self-term 1
+# from a total of about 1 + sum, so an isolated point at large nu would
+# keep only the rounding noise of that subtraction.
+_DIRECT_BELOW = 1e-3
+
+# Cap on the cells of one block of LCV work: rows x observations for the
+# direct sum, orders x observations while building the moment table.
+_BLOCK_CELLS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -161,7 +174,7 @@ def taylor_rule_nu(kappa: float, n: int) -> float:
 
 def rule_of_thumb(sample) -> BandwidthResult:
     """Rule-of-thumb bandwidth from the single von Mises MLE."""
-    arr = np.atleast_1d(np.asarray(sample, dtype=float))
+    arr = _as_sample(sample)
     comp = fit_single_von_mises(arr)
     nu = taylor_rule_nu(comp.kappa, arr.size)
     return BandwidthResult(
@@ -183,7 +196,7 @@ def plug_in(
     fallback flag set. On both paths ``diagnostics["em"]`` maps each
     fitted candidate M to its EM ``(n_iter, converged)``.
     """
-    arr = np.atleast_1d(np.asarray(sample, dtype=float))
+    arr = _as_sample(sample)
     n = arr.size
     cfg = cfg or EmConfig()
     domain = domain or NuSearchDomain.for_sample_size(n)
@@ -217,25 +230,58 @@ def plug_in(
 
 
 def lcv_objective(sample, nu: float) -> float:
-    """Leave-one-out log-likelihood of the estimator at concentration nu."""
-    arr = np.atleast_1d(np.asarray(sample, dtype=float))
-    return _lcv_from_cos(_pairwise_cos(arr), arr.size, nu)
+    """Leave-one-out log-likelihood of the estimator at concentration nu.
+
+    Computed by the direct O(n^2) kernel sum, in blocks of rows.
+    """
+    arr = _as_sample(sample)
+    return _lcv_from_sums(_direct_sums(arr, np.arange(arr.size), nu), arr.size, nu)
 
 
 def lcv(sample, domain: NuSearchDomain | None = None) -> BandwidthResult:
     """Likelihood cross-validation bandwidth.
 
     Maximizes the leave-one-out log-likelihood over the probe grid, then
-    refines with golden-section search around the best probe.
+    refines with golden-section search around the best probe. The
+    objective is ``lcv_objective`` up to rounding, computed from the K x n
+    table T[m, i] = sum_j cos(m (Theta_i - Theta_j)), built once per call
+    with K = ``kde._order_count(domain.nu_max)``. The kernel's expansion
+    exp(nu cos x) = I_0(nu) (1 + 2 sum_m rho_m(nu) cos(m x)) gives each
+    row's leave-one-out sum as i0e(nu) (rho~ @ T)_i - 1, with
+    rho~ = (1, 2 rho_1, 2 rho_2, ...), so each nu costs O(K n). Rows whose
+    sum falls below ``_DIRECT_BELOW`` are recomputed by the direct sum.
+    ``diagnostics`` holds ``orders`` (K) and ``direct_rows`` (recomputed
+    rows, summed over all evaluations).
     """
-    arr = np.atleast_1d(np.asarray(sample, dtype=float))
+    arr = _as_sample(sample)
     n = arr.size
     if n < 2:
         raise ValueError("need at least 2 observations for cross-validation")
     domain = domain or NuSearchDomain.for_sample_size(n)
-    cosd = _pairwise_cos(arr)
-    nu, neg, trace = minimize_on_domain(lambda v: -_lcv_from_cos(cosd, n, v), domain)
-    return BandwidthResult(nu=nu, selector=LCV, objective=-neg, diagnostics={"optimizer": trace})
+    orders = _order_count(domain.nu_max)
+    table = _cos_sum_table(arr, orders)
+    direct_rows = 0
+
+    def objective(nu: float) -> float:
+        nonlocal direct_rows
+        # Orders from K on were dropped for nu_max; at a larger nu they need not be negligible.
+        assert nu <= domain.nu_max, f"nu {nu} above the table's nu_max {domain.nu_max}"
+        coef = _kernel_coefficients(np.array([nu]), orders)[0]
+        coef[1:] *= 2.0
+        sums = i0e(nu) * (coef @ table) - 1.0
+        low = np.flatnonzero(sums < _DIRECT_BELOW)
+        if low.size:
+            sums[low] = _direct_sums(arr, low, nu)
+            direct_rows += low.size
+        return -_lcv_from_sums(sums, n, nu)
+
+    nu, neg, trace = minimize_on_domain(objective, domain)
+    return BandwidthResult(
+        nu=nu,
+        selector=LCV,
+        objective=-neg,
+        diagnostics={"optimizer": trace, "orders": orders, "direct_rows": direct_rows},
+    )
 
 
 def oracle_mise_curve(samples, truth: DensityGrid, nu_grid) -> np.ndarray:
@@ -249,15 +295,49 @@ def oracle_mise_curve(samples, truth: DensityGrid, nu_grid) -> np.ndarray:
     return _moment_ise(samples, truth, nu_grid)
 
 
-def _pairwise_cos(arr: np.ndarray) -> np.ndarray:
-    return np.cos(arr[:, None] - arr[None, :])
+def _as_sample(sample) -> np.ndarray:
+    arr = np.atleast_1d(np.asarray(sample, dtype=float))
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("sample must contain only finite angles")
+    return arr
 
 
-def _lcv_from_cos(cosd: np.ndarray, n: int, nu: float) -> float:
-    # Zero the diagonal rather than subtracting the self-term afterwards:
-    # the subtraction would cancel any contribution below one ulp of 1.
-    w = np.exp(nu * (cosd - 1.0))
-    np.fill_diagonal(w, 0.0)
-    loo = w.sum(axis=1) / ((n - 1) * TWO_PI * i0e(nu))
+def _direct_sums(arr: np.ndarray, rows: np.ndarray, nu: float) -> np.ndarray:
+    """sum over j != i of exp(nu (cos(Theta_i - Theta_j) - 1)), for each i in rows."""
+    out = np.empty(rows.size)
+    step = max(1, _BLOCK_CELLS // arr.size)
+    for lo in range(0, rows.size, step):
+        idx = rows[lo : lo + step]
+        w = np.exp(nu * (np.cos(arr[idx, None] - arr[None, :]) - 1.0))
+        # Zero the self-term rather than subtracting it afterwards: the
+        # subtraction would cancel any contribution below one ulp of 1.
+        w[np.arange(idx.size), idx] = 0.0
+        out[lo : lo + step] = w.sum(axis=1)
+    return out
+
+
+def _cos_sum_table(arr: np.ndarray, orders: int) -> np.ndarray:
+    """T[m, i] = a_m cos(m Theta_i) + b_m sin(m Theta_i), m = 0..orders-1.
+
+    a_m and b_m are the sample's cosine and sine sums, so T[m, i] is
+    sum_j cos(m (Theta_i - Theta_j)). Built in blocks of orders, so that
+    besides T at most two blocks of about ``_BLOCK_CELLS`` cells are alive.
+    """
+    theta = wrap_angle(arr)
+    table = np.empty((orders, arr.size))
+    step = max(1, _BLOCK_CELLS // arr.size)
+    for lo in range(0, orders, step):
+        hi = min(lo + step, orders)
+        angles = np.arange(lo, hi)[:, None] * theta[None, :]
+        cos = np.cos(angles)
+        sin = np.sin(angles, out=angles)
+        cos *= cos.sum(axis=1, keepdims=True)
+        sin *= sin.sum(axis=1, keepdims=True)
+        np.add(cos, sin, out=table[lo:hi])
+    return table
+
+
+def _lcv_from_sums(sums: np.ndarray, n: int, nu: float) -> float:
+    loo = sums / ((n - 1) * TWO_PI * i0e(nu))
     with np.errstate(divide="ignore"):  # full underflow => -inf, a fair score
         return float(np.log(loo).sum())

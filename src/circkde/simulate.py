@@ -62,6 +62,9 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.replicates < 1:
             raise ValueError("replicates must be >= 1")
+        empty = [k for k in ("models", "sample_sizes", "selectors") if not getattr(self, k)]
+        if empty:  # a study of no cells would pass any reference gate
+            raise ValueError(f"{', '.join(empty)} must not be empty")
         small = [n for n in self.sample_sizes if n < 2]
         if small:  # LCV needs two observations
             raise ValueError(f"sample sizes must be >= 2, got {small}")

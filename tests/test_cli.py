@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -240,6 +244,30 @@ class TestSimulateCommand:
         assert code == 1
         assert "circkde: error: sample sizes must be >= 2" in capsys.readouterr().err
         assert not (tmp_path / "simulation_report.json").exists()
+
+    @pytest.mark.parametrize(
+        "grid, field", [("--models=,", "models"), ("--sizes=,", "sample_sizes")]
+    )
+    def test_empty_grid_rejected(self, tmp_path, capsys, grid, field):
+        # an empty study has no cells, so --reference would compare nothing and pass
+        code = run_cli(
+            "simulate", grid, "--replicates", "1", "--reference", "--output-dir", str(tmp_path),
+        )
+        assert code == 1
+        assert f"circkde: error: {field} must not be empty" in capsys.readouterr().err
+        assert not (tmp_path / "simulation_report.json").exists()
+
+
+class TestModuleEntryPoint:
+    def test_python_m_circkde(self):
+        src = str(Path(circkde.__file__).resolve().parents[1])
+        path = [src, *filter(None, [os.environ.get("PYTHONPATH")])]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+        proc = subprocess.run(
+            [sys.executable, "-m", "circkde", "models"], capture_output=True, text=True, env=env, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert len(json.loads(proc.stdout)) == 20
 
 
 class TestUsageErrors:

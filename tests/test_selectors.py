@@ -1,4 +1,6 @@
+import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,10 +9,11 @@ from conftest import series_bessel_i
 
 from test_em import degenerate_sample
 
+from circkde import selectors
 from circkde.catalogue import get_model
 from circkde.em import EmConfig, em_fit, select_reference_mixture
-from circkde.kde import KdeFit, density_grid_of, ise, kde_grid
-from circkde.models import TWO_PI, wrap_angle
+from circkde.kde import KdeFit, _order_count, density_grid_of, ise, kde_grid
+from circkde.models import TWO_PI, VonMises, wrap_angle
 from circkde.rng import make_rng
 from circkde.selectors import (
     ORACLE,
@@ -27,7 +30,7 @@ from circkde.selectors import (
     rule_of_thumb,
     taylor_rule_nu,
 )
-from circkde.simulate import ExperimentConfig, default_oracle_grid, run_experiment
+from circkde.simulate import SMOKE_MODELS, ExperimentConfig, default_oracle_grid, run_experiment
 
 
 def vm_curvature(kappa: float) -> float:
@@ -47,6 +50,39 @@ def m7_500():
 @pytest.fixture(scope="module")
 def m2_100():
     return get_model("M2").sample(100, make_rng(42, 2, 100))
+
+
+# One sample per smoke model at n = 250, and the fit-large model at n = 2000.
+LCV_CASES = [(m, 250) for m in SMOKE_MODELS] + [("M16", 2000)]
+
+
+@functools.cache
+def lcv_sample(case):
+    model, n = case
+    return get_model(model).sample(n, make_rng(43, int(model[1:]), n))
+
+
+@functools.cache
+def direct_objective(case, nu):
+    """lcv_objective, cached: the moment and reference runs visit the same nu."""
+    return lcv_objective(lcv_sample(case), nu)
+
+
+def lcv_evaluations(monkeypatch, sample):
+    """Run lcv, recording each (nu, log-likelihood) its optimizer evaluates."""
+    seen = []
+    real = selectors.minimize_on_domain
+
+    def spy(f, domain, rel_tol=1e-4):
+        def recorded(nu):
+            value = f(nu)
+            seen.append((nu, -value))
+            return value
+
+        return real(recorded, domain, rel_tol)
+
+    monkeypatch.setattr(selectors, "minimize_on_domain", spy)
+    return lcv(sample), seen
 
 
 class TestAmise:
@@ -226,6 +262,71 @@ class TestLcv:
     def test_needs_two_points(self):
         with pytest.raises(ValueError):
             lcv(np.array([1.0]))
+
+    @pytest.mark.parametrize("case", LCV_CASES, ids=lambda c: f"{c[0]}-n{c[1]}")
+    def test_moment_objective_matches_direct(self, monkeypatch, case):
+        sample = lcv_sample(case)
+        res, seen = lcv_evaluations(monkeypatch, sample)
+        assert len(seen) == res.diagnostics["optimizer"]["n_evals"]
+        for nu, value in seen:
+            assert value == pytest.approx(direct_objective(case, nu), rel=1e-12)
+
+    @pytest.mark.parametrize("case", LCV_CASES, ids=lambda c: f"{c[0]}-n{c[1]}")
+    def test_nu_matches_direct_reference(self, case):
+        sample = lcv_sample(case)
+        domain = NuSearchDomain.for_sample_size(sample.size)
+        ref, neg, _ = minimize_on_domain(lambda v: -direct_objective(case, v), domain)
+        res = lcv(sample)
+        assert res.nu == pytest.approx(ref, rel=1e-9)
+        assert res.objective == pytest.approx(-neg, rel=1e-12)
+
+    def test_isolated_points_use_direct_sums(self, monkeypatch):
+        # 12 outliers 0.36 apart opposite 1988 concentrated points: at the
+        # largest nu their leave-one-out sums (about 3e-6) are far below the
+        # moment form's rounding noise relative to 1
+        outliers = np.pi + np.linspace(-2.0, 2.0, 12)
+        sample = np.concatenate([VonMises(mu=0.0, kappa=50.0).sample(1988, make_rng(8)), outliers])
+        res, seen = lcv_evaluations(monkeypatch, sample)
+        assert res.diagnostics["direct_rows"] > 0
+        for nu, value in seen:
+            assert value == pytest.approx(lcv_objective(sample, nu), rel=1e-12)
+
+    def test_diagnostics(self, m2_100):
+        res = lcv(m2_100)
+        domain = NuSearchDomain.for_sample_size(m2_100.size)
+        assert res.diagnostics["orders"] == _order_count(domain.nu_max)
+        assert res.diagnostics["direct_rows"] == 0
+
+    def test_refuses_nu_beyond_table(self, monkeypatch, m2_100):
+        # the table drops orders that are negligible only up to domain.nu_max
+        def overshoot(f, domain, rel_tol=1e-4):
+            return f(domain.nu_max * 1.01), 0.0, {}
+
+        monkeypatch.setattr(selectors, "minimize_on_domain", overshoot)
+        with pytest.raises(AssertionError):
+            lcv(m2_100)
+
+    def test_memory_linear_in_n(self):
+        sample = get_model("M16").sample(20_000, make_rng(9, 16))
+        tracemalloc.start()
+        try:
+            lcv(sample)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # one n x n float64 matrix alone would take 3.2 GB
+        assert peak < 64e6
+
+
+class TestNonFinite:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "selector", [rule_of_thumb, lambda s: plug_in(s, EmConfig(seed=3)), lcv],
+        ids=["RT", "PI", "LCV"],
+    )
+    def test_rejected(self, selector, bad):
+        with pytest.raises(ValueError, match="finite"):
+            selector([0.1, bad, 0.5, 1.0])
 
 
 class TestDomain:

@@ -100,6 +100,11 @@ class TestRunExperiment:
             with pytest.raises(ValueError, match="sample sizes must be >= 2"):
                 ExperimentConfig(sample_sizes=(100, n))
 
+    @pytest.mark.parametrize("field", ["models", "sample_sizes", "selectors"])
+    def test_empty_grid_rejected(self, field):
+        with pytest.raises(ValueError, match=f"{field} must not be empty"):
+            ExperimentConfig(**{field: ()})
+
 
 class TestSelect:
     @pytest.fixture(scope="class")
@@ -117,6 +122,12 @@ class TestSelect:
         nus = [select(PI, sample, EmConfig(seed=seed)).nu for seed in (1, 2)]
         assert nus == [plug_in(sample, EmConfig(seed=seed)).nu for seed in (1, 2)]
         assert nus[0] != nus[1]
+
+    @pytest.mark.parametrize("name", [RT, PI, LCV])
+    def test_non_finite_sample_rejected(self, sample, name):
+        bad = [*sample, math.nan]
+        with pytest.raises(ValueError, match="finite"):
+            select(name, bad, EmConfig(seed=1))
 
     @pytest.mark.parametrize("name", [ORACLE, "XX", "rt"])
     def test_unknown_name_rejected(self, sample, name):
