@@ -12,12 +12,9 @@ from .em import (
     EmConfig,
     MixtureFit,
     MixtureSelection,
-    aic,
     em_fit,
-    em_step,
     fit_single_von_mises,
     log_likelihood,
-    responsibilities,
     select_reference_mixture,
 )
 from .kde import DensityGrid, KdeFit, density_grid_of, ise, kde_evaluate, kde_grid

@@ -138,9 +138,9 @@ def model_index(model_id: str) -> int:
     return int(model_id[1:])
 
 
-def catalogue_listing() -> list[dict]:
-    """The catalogue as plain data, in declaration order."""
-    return [
+def catalogue_json() -> str:
+    """Deterministic JSON rendering of the catalogue, in declaration order."""
+    listing = [
         {
             "id": mid,
             "components": [
@@ -150,8 +150,4 @@ def catalogue_listing() -> list[dict]:
         }
         for mid, rows in CATALOGUE.items()
     ]
-
-
-def catalogue_json() -> str:
-    """Deterministic JSON rendering of the catalogue."""
-    return json.dumps(catalogue_listing(), indent=2)
+    return json.dumps(listing, indent=2)

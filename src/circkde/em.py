@@ -15,7 +15,7 @@ import numpy as np
 from scipy.special import i0e
 
 from .bessel import inverse_mean_resultant_ratio, is_saturated
-from .models import TWO_PI, VonMisesComponent, VonMisesMixture, curvature_integral, wrap_angle
+from .models import TWO_PI, VonMisesComponent, VonMisesMixture, _as_sample, curvature_integral, wrap_angle
 from .rng import make_rng
 
 DEFAULT_CANDIDATE_MS: tuple[int, ...] = (2, 3, 4, 5)
@@ -56,20 +56,14 @@ class MixtureFit:
     ll_trace: tuple[float, ...] = field(default=(), repr=False)
 
 
-def aic(fit: MixtureFit) -> float:
-    """Akaike criterion with 3M - 1 free parameters."""
-    return aic_value(fit.log_likelihood, fit.M)
-
-
 def aic_value(log_likelihood: float, m: int) -> float:
+    """Akaike criterion with 3M - 1 free parameters."""
     return 2.0 * (3 * m - 1) - 2.0 * log_likelihood
 
 
 def fit_single_von_mises(sample) -> VonMisesComponent:
     """MLE of a single von Mises: mean direction and A^{-1} of the resultant."""
-    arr = np.atleast_1d(np.asarray(sample, dtype=float))
-    if arr.size == 0:
-        raise ValueError("sample must be non-empty")
+    arr = _as_sample(sample)
     c = np.cos(arr).sum()
     s = np.sin(arr).sum()
     mu = wrap_angle(math.atan2(s, c))
@@ -80,22 +74,10 @@ def fit_single_von_mises(sample) -> VonMisesComponent:
 
 
 def log_likelihood(sample, mixture: VonMisesMixture) -> float:
-    _, ll = _batch_e_step(_unit_vectors(sample), *_as_batch(mixture))
+    # The batched E-step takes (restarts, M) parameters; this is one restart.
+    params = (mixture.weights[None, :], mixture.mus[None, :], mixture.kappas[None, :])
+    _, ll = _batch_e_step(_unit_vectors(sample), *params)
     return float(ll[0])
-
-
-def responsibilities(sample, mixture: VonMisesMixture) -> np.ndarray:
-    """Posterior component probabilities, one row per observation."""
-    resp, _ = _batch_e_step(_unit_vectors(sample), *_as_batch(mixture))
-    return resp[0].T
-
-
-def em_step(sample, mixture: VonMisesMixture) -> tuple[VonMisesMixture, float]:
-    """One E+M update; returns the new mixture and the input's log-likelihood."""
-    x = _unit_vectors(sample)
-    resp, ll = _batch_e_step(x, *_as_batch(mixture))
-    alpha, mus, kappas = _batch_m_step(x, resp)
-    return VonMisesMixture(alpha[0], mus[0], kappas[0]), float(ll[0])
 
 
 def em_fit(sample, M: int, cfg: EmConfig | None = None) -> MixtureFit:
@@ -103,7 +85,7 @@ def em_fit(sample, M: int, cfg: EmConfig | None = None) -> MixtureFit:
 
     M = 1 reduces exactly to the closed-form single-component MLE.
     """
-    arr = np.atleast_1d(np.asarray(sample, dtype=float))
+    arr = _as_sample(sample)
     cfg = cfg or EmConfig()
     n = arr.size
     if M < 1:
@@ -152,7 +134,7 @@ def select_reference_mixture(
     fit is degenerate, or the curvature integral of the fitted mixture is
     not finite.
     """
-    arr = np.atleast_1d(np.asarray(sample, dtype=float))
+    arr = _as_sample(sample)
     cfg = cfg or EmConfig()
     candidates = sorted(set(int(m) for m in candidate_Ms))
     if not candidates:
@@ -189,13 +171,8 @@ def select_reference_mixture(
 
 def _unit_vectors(sample) -> np.ndarray:
     """(cos theta, sin theta) of each observation as a (2, n) matrix."""
-    arr = np.atleast_1d(np.asarray(sample, dtype=float))
+    arr = _as_sample(sample)
     return np.stack((np.cos(arr), np.sin(arr)))
-
-
-def _as_batch(mixture: VonMisesMixture) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """A mixture's parameters as one-restart (1, M) tensors."""
-    return mixture.weights[None, :], mixture.mus[None, :], mixture.kappas[None, :]
 
 
 def _initial_centers(arr: np.ndarray, M: int, rng: np.random.Generator) -> np.ndarray:

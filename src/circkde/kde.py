@@ -5,10 +5,10 @@ at many concentrations uses trigonometric moments instead: the
 estimator's Fourier coefficients are phi_m rho_m(nu), with
 phi_m = mean(exp(-i m Theta)) and rho_m(nu) = I_m(nu) / I_0(nu) the
 kernel's characteristic function (Mardia & Jupp 2000, Directional
-Statistics, sec. 3.5). ``_moment_ise`` gives the ORACLE curve from them,
-and ``selectors.lcv`` the estimator at its own sample points, from a
-K x n table in place of an n x n kernel matrix. Both keep the K orders
-``_order_count`` retains.
+Statistics, sec. 3.5). ``oracle_mise_curve`` gives the simulation
+oracle's ISE curve from them, and ``selectors.lcv`` the estimator at its
+own sample points, from a K x n table in place of an n x n kernel
+matrix. Both keep the K orders ``_order_count`` retains.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import numpy as np
 from scipy.special import i0e, ive
 
 from .bessel import KAPPA_CAP
-from .models import TWO_PI, wrap_angle
+from .models import TWO_PI, _as_sample, wrap_angle
 
 # Large enough for 1e-8 quadrature agreement on every density in the study.
 DEFAULT_GRIDSIZE = 1024
@@ -41,9 +41,7 @@ class KdeFit:
     nu: float
 
     def __post_init__(self):
-        arr = np.atleast_1d(np.asarray(self.sample, dtype=float))
-        if arr.size == 0:
-            raise ValueError("sample must be non-empty")
+        arr = _as_sample(self.sample)
         if not 0.0 <= self.nu <= KAPPA_CAP:
             raise ValueError(f"nu must lie in [0, {KAPPA_CAP}], got {self.nu}")
         object.__setattr__(self, "sample", wrap_angle(arr))
@@ -128,11 +126,12 @@ def _kernel_mean(thetas: np.ndarray, sample: np.ndarray, nu: float) -> np.ndarra
     return out / (TWO_PI * i0e(nu))
 
 
-def _moment_ise(samples, truth: DensityGrid, nus) -> np.ndarray:
-    """``ise(kde_grid(KdeFit(s, nu), G), truth)`` for every sample s and nu.
+def oracle_mise_curve(samples, truth: DensityGrid, nus) -> np.ndarray:
+    """ISE per (replicate, nu) for fixed samples; common random numbers across nu.
 
-    Returns an array of shape (len(samples), nus.size), equal to the grid
-    ISE up to rounding. The G-point DFT of the estimator's grid is
+    Entry (i, j) equals ``ise(kde_grid(KdeFit(samples[i], nus[j]), G),
+    truth)`` up to rounding, with G = ``truth.gridsize``. The G-point DFT
+    of the estimator's grid is
     F_k = sum over m = k (mod G) of rho_|m| phi_m (phi_-m = conj phi_m),
     and by Parseval the grid ISE is (1/2 pi) sum_k w_k |F_k - gamma_k|^2
     over k = 0..G/2, with w = (1, 2, ..., 2, 1) and gamma the truth's
@@ -203,9 +202,7 @@ def _kernel_coefficients(nus: np.ndarray, orders: int | None = None) -> np.ndarr
 
 def _trig_moments(sample, orders: int, block: int) -> np.ndarray:
     """phi_m = mean(exp(-i m Theta)) for m = 0..orders-1, ``block`` orders at a time."""
-    arr = wrap_angle(np.atleast_1d(np.asarray(sample, dtype=float)))
-    if arr.size == 0:
-        raise ValueError("sample must be non-empty")
+    arr = wrap_angle(_as_sample(sample))
     out = np.empty(orders, dtype=complex)
     for lo in range(0, orders, block):
         angles = np.arange(lo, min(lo + block, orders))[:, None] * arr[None, :]

@@ -8,7 +8,7 @@ and are vectorized over theta. Samplers draw from an explicit
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import i0e
@@ -32,6 +32,16 @@ def wrap_angle(theta):
     return float(out) if np.isscalar(theta) else out
 
 
+def _as_sample(sample) -> np.ndarray:
+    """A sample of angles as a 1-d float array; ValueError if empty or not finite."""
+    arr = np.atleast_1d(np.asarray(sample, dtype=float))
+    if arr.size == 0:
+        raise ValueError("sample must be non-empty")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("sample must contain only finite angles")
+    return arr
+
+
 def _as_theta(theta) -> tuple[np.ndarray, bool]:
     arr = np.asarray(theta, dtype=float)
     return np.atleast_1d(arr), arr.ndim == 0
@@ -51,9 +61,6 @@ class CircularUniform:
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         return rng.uniform(0.0, TWO_PI, size=n)
-
-    def rotated(self, phi: float) -> "CircularUniform":
-        return self
 
 
 @dataclass(frozen=True)
@@ -77,9 +84,6 @@ class VonMises:
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         # numpy's generator implements the Best-Fisher rejection scheme.
         return wrap_angle(rng.vonmises(self.mu, self.kappa, size=n))
-
-    def rotated(self, phi: float) -> "VonMises":
-        return replace(self, mu=wrap_angle(self.mu + phi))
 
 
 @dataclass(frozen=True)
@@ -114,9 +118,6 @@ class Cardioid:
             filled += take.size
         return out
 
-    def rotated(self, phi: float) -> "Cardioid":
-        return replace(self, mu=wrap_angle(self.mu + phi))
-
 
 @dataclass(frozen=True)
 class WrappedNormal:
@@ -148,9 +149,6 @@ class WrappedNormal:
             return rng.uniform(0.0, TWO_PI, size=n)
         return wrap_angle(rng.normal(self.mu, self.sigma, size=n))
 
-    def rotated(self, phi: float) -> "WrappedNormal":
-        return replace(self, mu=wrap_angle(self.mu + phi))
-
 
 @dataclass(frozen=True)
 class WrappedCauchy:
@@ -175,9 +173,6 @@ class WrappedCauchy:
             return rng.uniform(0.0, TWO_PI, size=n)
         gamma = -math.log(self.rho)
         return wrap_angle(self.mu + gamma * rng.standard_cauchy(size=n))
-
-    def rotated(self, phi: float) -> "WrappedCauchy":
-        return replace(self, mu=wrap_angle(self.mu + phi))
 
 
 @dataclass(frozen=True)
@@ -207,9 +202,6 @@ class WrappedSkewNormal:
         u1 = rng.standard_normal(n)
         z = delta * np.abs(u0) + math.sqrt(1.0 - delta**2) * u1
         return wrap_angle(self.xi + self.eta * z)
-
-    def rotated(self, phi: float) -> "WrappedSkewNormal":
-        return replace(self, xi=wrap_angle(self.xi + phi))
 
 
 @dataclass(frozen=True)
@@ -271,15 +263,6 @@ class VonMisesMixture:
         poly = self.kappas**2 * np.sin(d) ** 2 - self.kappas * cosd
         return _ret((poly * comp) @ self.weights, scalar)
 
-    def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        return _sample_mixture(self.weights, self.components_as_primitives(), n, rng)
-
-    def components_as_primitives(self) -> tuple[VonMises, ...]:
-        return tuple(VonMises(mu, k) for mu, k in zip(self.mus, self.kappas))
-
-    def rotated(self, phi: float) -> "VonMisesMixture":
-        return VonMisesMixture(self.weights, self.mus + phi, self.kappas)
-
 
 @dataclass(frozen=True)
 class ModelSpec:
@@ -303,30 +286,19 @@ class ModelSpec:
         return _ret(vals, scalar)
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        return _sample_mixture(np.asarray(self.weights), self.parts, n, rng)
-
-    def rotated(self, phi: float) -> "ModelSpec":
-        return ModelSpec(
-            id=self.id,
-            weights=self.weights,
-            parts=tuple(p.rotated(phi) for p in self.parts),
-        )
-
-
-def _sample_mixture(weights, parts, n: int, rng: np.random.Generator) -> np.ndarray:
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    out = np.empty(n)
-    if n == 0:
+        if n < 0:
+            raise ValueError("n must be non-negative")
+        out = np.empty(n)
+        if n == 0:
+            return out
+        if len(self.parts) == 1:
+            return self.parts[0].sample(n, rng)
+        idx = rng.choice(len(self.parts), size=n, p=np.asarray(self.weights, dtype=float))
+        for j, part in enumerate(self.parts):
+            where = np.nonzero(idx == j)[0]
+            if where.size:
+                out[where] = part.sample(where.size, rng)
         return out
-    if len(parts) == 1:
-        return parts[0].sample(n, rng)
-    idx = rng.choice(len(parts), size=n, p=np.asarray(weights, dtype=float))
-    for j, part in enumerate(parts):
-        where = np.nonzero(idx == j)[0]
-        if where.size:
-            out[where] = part.sample(where.size, rng)
-    return out
 
 
 def curvature_integral(

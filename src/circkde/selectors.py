@@ -1,7 +1,6 @@
 """Bandwidth selectors for the von Mises-kernel estimator.
 
-Three data-driven selectors, which ``simulate.select`` dispatches by name,
-plus the simulation oracle's ISE curve:
+Three data-driven selectors, which ``simulate.select`` dispatches by name:
 
 * ``rule_of_thumb`` - closed-form bandwidth from a single fitted von Mises.
 * ``plug_in``       - AIC-sized von Mises mixture reference, its curvature
@@ -12,8 +11,8 @@ plus the simulation oracle's ISE curve:
                       leave-one-out sums taken from the sample's
                       trigonometric moments: O(K n) memory and time per
                       nu, not O(n^2).
-* ``oracle_mise_curve`` - ISE per (replicate, nu) against a known truth,
-                      minimized on average by ``simulate`` (benchmark only).
+
+The simulation oracle's ISE curve is ``kde.oracle_mise_curve``.
 """
 
 from __future__ import annotations
@@ -26,10 +25,10 @@ from scipy.special import i0e, ive
 
 from .bessel import KAPPA_CAP
 from .em import EmConfig, fit_single_von_mises, select_reference_mixture
-from .kde import DensityGrid, _kernel_coefficients, _moment_ise, _order_count
+from .kde import _kernel_coefficients, _order_count
 # Unused here, but perfbench/tracing.py wraps selectors.kde_grid and selectors.ise.
 from .kde import ise, kde_grid  # noqa: F401
-from .models import TWO_PI, wrap_angle
+from .models import TWO_PI, _as_sample, wrap_angle
 
 RT = "RT"
 PI = "PI"
@@ -282,24 +281,6 @@ def lcv(sample, domain: NuSearchDomain | None = None) -> BandwidthResult:
         objective=-neg,
         diagnostics={"optimizer": trace, "orders": orders, "direct_rows": direct_rows},
     )
-
-
-def oracle_mise_curve(samples, truth: DensityGrid, nu_grid) -> np.ndarray:
-    """ISE per (replicate, nu) for fixed samples; common random numbers across nu.
-
-    Entry (i, j) equals ``ise(kde_grid(KdeFit(samples[i], nu_grid[j]),
-    truth.gridsize), truth)`` up to rounding. It is computed from the
-    samples' trigonometric moments, so each extra nu costs O(gridsize)
-    rather than a fresh grid of gridsize * n kernel evaluations.
-    """
-    return _moment_ise(samples, truth, nu_grid)
-
-
-def _as_sample(sample) -> np.ndarray:
-    arr = np.atleast_1d(np.asarray(sample, dtype=float))
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("sample must contain only finite angles")
-    return arr
 
 
 def _direct_sums(arr: np.ndarray, rows: np.ndarray, nu: float) -> np.ndarray:

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import catalogue
 from .em import EmConfig
-from .kde import DEFAULT_GRIDSIZE, DensityGrid, KdeFit, density_grid_of, ise, kde_grid
+from .kde import DEFAULT_GRIDSIZE, KdeFit, density_grid_of, ise, kde_grid, oracle_mise_curve
 from .rng import derive_seed, make_rng
 from .selectors import (
     LCV,
@@ -32,7 +32,6 @@ from .selectors import (
     BandwidthResult,
     NuSearchDomain,
     lcv,
-    oracle_mise_curve,
     plug_in,
     rule_of_thumb,
 )
@@ -75,11 +74,8 @@ class ExperimentConfig:
         if bad:
             raise ValueError(f"unknown selectors: {bad}")
 
-    def canonical(self) -> dict:
-        return asdict(self)
-
     def config_hash(self) -> str:
-        blob = json.dumps(self.canonical(), sort_keys=True).encode()
+        blob = json.dumps(asdict(self), sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()[:16]
 
 
@@ -113,13 +109,6 @@ class SimulationReport:
 
     def to_json(self, indent: int = 1) -> str:
         return json.dumps(self.to_dict(), indent=indent)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SimulationReport":
-        return cls(
-            cells=tuple(CellResult(**c) for c in d["cells"]),
-            metadata=dict(d["metadata"]),
-        )
 
     def to_table(self) -> str:
         """Aligned text table, one block per sample size, MISE x100 (sd x100)."""
@@ -176,7 +165,7 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> SimulationReport:
                 data_driven = tuple(s for s in cfg.selectors if s != ORACLE)
                 if data_driven:
                     tasks = [
-                        (samples[rep], data_driven, truth.values,
+                        (samples[rep], data_driven, truth,
                          derive_seed(cfg.base_seed, midx, n, rep, 97), cfg.em)
                         for rep in range(cfg.replicates)
                     ]
@@ -193,7 +182,7 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> SimulationReport:
             pool.shutdown()
     meta = {
         "base_seed": cfg.base_seed,
-        "config": cfg.canonical(),
+        "config": asdict(cfg),
         "config_hash": cfg.config_hash(),
         "wall_time_s": round(time.perf_counter() - t0, 3),
     }
@@ -218,8 +207,7 @@ def select(name: str, sample, em: EmConfig) -> BandwidthResult:
 
 def _replicate_outcome(task) -> dict:
     """All data-driven selectors on one replicate sample; shared truth grid."""
-    sample, selectors, truth_values, em_seed, em = task
-    truth = DensityGrid(truth_values)
+    sample, selectors, truth, em_seed, em = task
     em = replace(em, seed=em_seed)
     out: dict = {}
     for selector in selectors:

@@ -12,13 +12,10 @@ from circkde.catalogue import get_model
 from circkde.em import (
     EmConfig,
     _initial_centers,
-    aic,
     aic_value,
     em_fit,
-    em_step,
     fit_single_von_mises,
     log_likelihood,
-    responsibilities,
     select_reference_mixture,
 )
 from circkde.models import VonMisesMixture, curvature_integral, wrap_angle
@@ -165,19 +162,6 @@ class TestEmFit:
         np.testing.assert_allclose(a.mixture.kappas, b.mixture.kappas[match], rtol=1e-5)
         assert np.all(circular_distance(a.mixture.mus, unrot[match]) < 1e-6)
 
-    def test_responsibilities_rows_sum_to_one(self, m7_500):
-        fit = em_fit(m7_500, 4, EmConfig(seed=7))
-        resp = responsibilities(m7_500, fit.mixture)
-        np.testing.assert_allclose(resp.sum(axis=1), 1.0, atol=1e-12)
-
-    def test_one_step_from_truth_does_not_decrease(self):
-        x = get_model("M7").sample(5000, make_rng(8, 7))
-        truth = VonMisesMixture([0.5, 0.5], [0.0, math.pi], [4.0, 4.0])
-        ll_before = log_likelihood(x, truth)
-        stepped, ll_input = em_step(x, truth)
-        assert ll_input == pytest.approx(ll_before, abs=1e-9)
-        assert log_likelihood(x, stepped) >= ll_before - 1e-9
-
     @pytest.mark.parametrize("M", [2, 3, 5])
     def test_matches_reference_em(self, M):
         x = get_model("M7").sample(250, make_rng(21, 7, 250))
@@ -200,7 +184,6 @@ class TestAic:
 
     def test_fit_field_consistent(self, m7_500):
         fit = em_fit(m7_500, 2, EmConfig(seed=9))
-        assert aic(fit) == pytest.approx(fit.aic, abs=1e-12)
         assert fit.aic == pytest.approx(2 * (3 * fit.M - 1) - 2 * fit.log_likelihood, abs=1e-12)
 
     def test_bimodal_truth_favors_two_components(self, m7_500):

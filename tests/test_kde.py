@@ -10,11 +10,11 @@ from circkde.kde import (
     DensityGrid,
     KdeFit,
     _kernel_coefficients,
-    _moment_ise,
     density_grid_of,
     ise,
     kde_evaluate,
     kde_grid,
+    oracle_mise_curve,
 )
 from circkde.models import TWO_PI, VonMises, VonMisesMixture, wrap_angle
 from circkde.rng import make_rng
@@ -166,14 +166,14 @@ class TestMomentIse:
         sample = model.sample(100, make_rng(8, int(mid[1:])))
         expected = np.array([direct_ise(sample, nu, truth) for nu in MOMENT_NUS])
         # all nu at once (orders sized by the largest) and each nu alone
-        together = _moment_ise([sample], truth, np.array(MOMENT_NUS))[0]
-        alone = [_moment_ise([sample], truth, np.array([nu]))[0, 0] for nu in MOMENT_NUS]
+        together = oracle_mise_curve([sample], truth, np.array(MOMENT_NUS))[0]
+        alone = [oracle_mise_curve([sample], truth, np.array([nu]))[0, 0] for nu in MOMENT_NUS]
         np.testing.assert_allclose(together, expected, rtol=1e-10, atol=0)
         np.testing.assert_allclose(alone, expected, rtol=1e-10, atol=0)
 
     def test_zero_nu_against_uniform_truth(self, m2_sample):
         truth = density_grid_of(get_model("M1"), 1024)
-        (got,) = _moment_ise([m2_sample], truth, np.array([0.0]))[0]
+        (got,) = oracle_mise_curve([m2_sample], truth, np.array([0.0]))[0]
         assert direct_ise(m2_sample, 0.0, truth) == 0.0
         assert abs(got) <= 1e-15
 
@@ -181,7 +181,7 @@ class TestMomentIse:
         # at gridsize 64 and nu = 500 the retained orders alias onto the 33 bins
         assert _kernel_coefficients(np.array([500.0])).shape[1] > 64
         truth = density_grid_of(get_model("M2"), 64)
-        got = _moment_ise([m2_sample], truth, np.array([500.0]))[0, 0]
+        got = oracle_mise_curve([m2_sample], truth, np.array([500.0]))[0, 0]
         assert got == pytest.approx(direct_ise(m2_sample, 500.0, truth), rel=1e-12)
 
     def test_truncation_floor(self):
@@ -194,8 +194,8 @@ class TestMomentIse:
     def test_validation(self, m2_sample):
         truth = density_grid_of(get_model("M2"), 64)
         with pytest.raises(ValueError):
-            _moment_ise([m2_sample], truth, np.array([-1.0]))
+            oracle_mise_curve([m2_sample], truth, np.array([-1.0]))
         with pytest.raises(ValueError):
-            _moment_ise([m2_sample], truth, np.array([]))
+            oracle_mise_curve([m2_sample], truth, np.array([]))
         with pytest.raises(ValueError):
-            _moment_ise([np.array([])], truth, np.array([1.0]))
+            oracle_mise_curve([np.array([])], truth, np.array([1.0]))

@@ -11,9 +11,9 @@ from test_em import degenerate_sample
 
 from circkde import selectors
 from circkde.catalogue import get_model
-from circkde.em import EmConfig, em_fit, select_reference_mixture
-from circkde.kde import KdeFit, _order_count, density_grid_of, ise, kde_grid
-from circkde.models import TWO_PI, VonMises, wrap_angle
+from circkde.em import EmConfig, em_fit, fit_single_von_mises, log_likelihood, select_reference_mixture
+from circkde.kde import KdeFit, _order_count, density_grid_of, ise, kde_grid, oracle_mise_curve
+from circkde.models import TWO_PI, VonMises, VonMisesMixture, wrap_angle
 from circkde.rng import make_rng
 from circkde.selectors import (
     ORACLE,
@@ -25,7 +25,6 @@ from circkde.selectors import (
     lcv,
     lcv_objective,
     minimize_on_domain,
-    oracle_mise_curve,
     plug_in,
     rule_of_thumb,
     taylor_rule_nu,
@@ -327,6 +326,26 @@ class TestNonFinite:
     def test_rejected(self, selector, bad):
         with pytest.raises(ValueError, match="finite"):
             selector([0.1, bad, 0.5, 1.0])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "layer",
+        [
+            fit_single_von_mises,
+            lambda s: em_fit(s, 2, EmConfig(seed=3)),
+            lambda s: select_reference_mixture(s, cfg=EmConfig(seed=3)),
+            lambda s: log_likelihood(s, VonMisesMixture([1.0], [0.0], [1.0])),
+            lambda s: KdeFit(s, 5.0),
+            lambda s: oracle_mise_curve([s], density_grid_of(get_model("M2"), 64), np.array([1.0])),
+        ],
+        ids=["fit_single_von_mises", "em_fit", "select_reference_mixture", "log_likelihood",
+             "KdeFit", "oracle_mise_curve"],
+    )
+    def test_rejected_below_selectors(self, layer, bad):
+        sample = np.linspace(0.1, 6.0, 12)
+        sample[3] = bad
+        with pytest.raises(ValueError, match="finite"):
+            layer(sample)
 
 
 class TestDomain:

@@ -81,8 +81,8 @@ class TestRunExperiment:
 
     def test_json_round_trip(self, small_report):
         _, report = small_report
-        loaded = SimulationReport.from_dict(json.loads(report.to_json()))
-        assert loaded.cells == report.cells
+        loaded = tuple(CellResult(**c) for c in json.loads(report.to_json())["cells"])
+        assert loaded == report.cells
 
     def test_table_rendering(self, small_report):
         _, report = small_report
