@@ -58,11 +58,16 @@ def mean_resultant_ratio(kappa):
 def inverse_mean_resultant_ratio(rbar):
     """Concentration kappa solving A(kappa) = rbar.
 
-    Solved from Fisher's piecewise rational approximation by safeguarded
-    Newton steps (A'(kappa) = 1 - A/kappa - A^2) until every entry has
-    |A(kappa) - rbar| < 1e-12. Results are capped at ``KAPPA_CAP``; inputs
-    at or above A(KAPPA_CAP) (in particular rbar >= 1) return the cap,
-    which callers can detect with :func:`is_saturated`.
+    The start interpolates a table of h(r) = kappa (1 - r) / r, built at
+    import on 1025 nodes. h is smooth on [0, 1): 2 + O(r^2) near 0 and
+    about 1/2 near 1, so linear interpolation puts
+    kappa_0 = r h(r) / (1 - r) within 1e-6 relative of the root, and
+    kappa_0 = 2 rbar for tiny rbar. Safeguarded Newton steps
+    (A'(kappa) = 1 - A/kappa - A^2) then run until every entry has
+    |A(kappa) - rbar| < 1e-12; one step suffices. Results are capped at
+    ``KAPPA_CAP``; inputs at or above A(KAPPA_CAP) (in particular
+    rbar >= 1) return the cap, which callers can detect with
+    :func:`is_saturated`.
     """
     r = np.atleast_1d(np.asarray(rbar, dtype=float))
     if (r < 0).any():
@@ -84,14 +89,24 @@ def _check_order(r: int) -> None:
         raise ValueError(f"order must be a non-negative integer, got {r}")
 
 
+def _start_table() -> tuple[np.ndarray, np.ndarray]:
+    """Nodes (r, h(r)) of h = kappa (1 - r) / r at kappa = 2 s / (1 - s).
+
+    s = kappa / (2 + kappa) runs evenly from 0 to its value at KAPPA_CAP,
+    which spaces the nodes evenly in r near 0 and in 1 / kappa near 1.
+    """
+    s = np.linspace(0.0, KAPPA_CAP / (2.0 + KAPPA_CAP), 1025)
+    kappa = 2.0 * s[1:] / (1.0 - s[1:])
+    r = i1e(kappa) / i0e(kappa)
+    return np.concatenate(([0.0], r)), np.concatenate(([2.0], kappa * (1.0 - r) / r))
+
+
+_R_NODES, _H_NODES = _start_table()
+
+
 def _newton_start(r: np.ndarray) -> np.ndarray:
-    """Fisher's piecewise approximation to A^{-1}(r) for r in (0, A(KAPPA_CAP))."""
-    k = np.where(
-        r < 0.53,
-        2 * r + r**3 + 5 * r**5 / 6,
-        np.where(r < 0.85, -0.4 + 1.39 * r + 0.43 / (1 - r), 1.0 / (r**3 - 4 * r**2 + 3 * r)),
-    )
-    return np.minimum(np.maximum(k, 1e-12), KAPPA_CAP)
+    """A^{-1}(r) from the interpolated h table, for r in (0, A(KAPPA_CAP))."""
+    return r * np.interp(r, _R_NODES, _H_NODES) / (1.0 - r)
 
 
 def _newton_inverse(r: np.ndarray, tol: float = 1e-12, max_iter: int = 100) -> np.ndarray:

@@ -81,7 +81,7 @@ def log_likelihood(sample, mixture: VonMisesMixture) -> float:
 
 
 def em_fit(sample, M: int, cfg: EmConfig | None = None) -> MixtureFit:
-    """Best-of-restarts EM fit with M components.
+    """Best-of-restarts EM fit with M components, in ascending mean direction.
 
     M = 1 reduces exactly to the closed-form single-component MLE.
     """
@@ -230,7 +230,10 @@ def _run_em_restarts(x: np.ndarray, mus0: np.ndarray, cfg: EmConfig) -> MixtureF
     _, ll_final = _batch_e_step(x, alpha, mus, kappas)
     best = int(np.argmax(ll_final))
     trace = tuple(ll_hist[: n_iters[best], best].tolist()) + (float(ll_final[best]),)
-    mix = VonMisesMixture(alpha[best], mus[best], kappas[best])
+    # Restarts can reach one optimum with permuted labels; sorting by mean
+    # direction makes the reported order independent of which one won.
+    order = np.argsort(wrap_angle(mus[best]), kind="stable")
+    mix = VonMisesMixture(alpha[best, order], mus[best, order], kappas[best, order])
     return _finalize(
         mix,
         float(ll_final[best]),

@@ -227,6 +227,8 @@ class VonMisesMixture:
         k = np.atleast_1d(np.asarray(kappas, dtype=float))
         if not (w.size == m.size == k.size) or w.size == 0:
             raise ValueError("weights, mus and kappas must share a positive length")
+        if not (np.isfinite(w).all() and np.isfinite(m).all() and np.isfinite(k).all()):
+            raise ValueError("weights, mus and kappas must be finite")
         if np.any(w <= 0):
             raise ValueError("mixture weights must be positive")
         if abs(w.sum() - 1.0) > 1e-12:

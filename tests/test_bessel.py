@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from conftest import series_bessel_i
 from circkde.bessel import (
     KAPPA_CAP,
     OVERFLOW_THRESHOLD,
+    _newton_start,
     bessel_i,
     inverse_mean_resultant_ratio,
     is_saturated,
@@ -171,6 +173,46 @@ class TestInverse:
         vec = inverse_mean_resultant_ratio(rbars)
         for r, k in zip(rbars, vec):
             assert k == pytest.approx(inverse_mean_resultant_ratio(float(r)), rel=1e-9, abs=1e-12)
+
+
+    @pytest.fixture(scope="class")
+    def sweep(self):
+        """A dense sweep over (0, A(KAPPA_CAP)), geometric below 1e-3."""
+        a_cap = mean_resultant_ratio(KAPPA_CAP)
+        r = np.concatenate(
+            [np.geomspace(1e-300, 1e-3, 2000, endpoint=False), np.linspace(1e-3, a_cap, 200_001)[:-1]]
+        )
+        return r, inverse_mean_resultant_ratio(r)
+
+    def test_sweep_meets_tolerance_and_is_monotone(self, sweep):
+        r, k = sweep
+        assert np.all(np.abs(mean_resultant_ratio(k) - r) < 1e-12)
+        assert np.all(np.diff(k) >= 0)
+
+    def test_tabulated_start_is_close(self, sweep):
+        # One Newton step from within 1e-6 meets the 1e-12 stop rule.
+        r, k = sweep
+        np.testing.assert_allclose(_newton_start(r), k, rtol=1e-6, atol=0)
+
+    # The stop rule bounds kappa's error by 1e-12 / A'(kappa), about
+    # 2 kappa^2 1e-12: 1e-10 relative up to kappa = 50 (rbar = 0.99).
+    @pytest.mark.parametrize(
+        "rbar", [1e-6, 0.01, 0.1, 0.3, 0.45, 0.53, 0.7, 0.85, 0.9, 0.95, 0.99]
+    )
+    def test_matches_mpmath_root(self, rbar):
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 40
+        k = inverse_mean_resultant_ratio(rbar)
+        root = mp.findroot(lambda x: mp.besseli(1, x) / mp.besseli(0, x) - rbar, k)
+        assert k == pytest.approx(float(root), rel=1e-10)
+
+    @pytest.mark.parametrize("rbar", [5e-324, 1e-310, 1e-300, 1e-20])
+    def test_tiny_rbar_is_twice_rbar(self, rbar):
+        # A(kappa) = kappa / 2 + O(kappa^3); no overflow from a 1 / r term.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            k = inverse_mean_resultant_ratio(rbar)
+        assert k == pytest.approx(2.0 * rbar, rel=1e-12)
 
 
 def test_kappa_cap_large_enough():

@@ -176,6 +176,25 @@ class TestEmFit:
         with pytest.raises(ValueError):
             em_fit(np.linspace(0, 6, 5), 2, EmConfig(seed=0))
 
+    @pytest.mark.parametrize("M", [2, 3, 4, 5])
+    def test_components_in_ascending_mean_direction(self, m7_500, M):
+        fit = em_fit(m7_500, M, EmConfig(seed=3))
+        mix = fit.mixture
+        assert np.all(np.diff(mix.mus) >= 0)
+        assert log_likelihood(m7_500, mix) == pytest.approx(fit.log_likelihood, rel=1e-12)
+        # Relabelling moves nothing else: density and curvature are invariant.
+        thetas = np.linspace(0.0, TWO_PI, 257)
+        for perm in (np.arange(M)[::-1], np.roll(np.arange(M), 1)):
+            other = VonMisesMixture(mix.weights[perm], mix.mus[perm], mix.kappas[perm])
+            np.testing.assert_allclose(other.density(thetas), mix.density(thetas), rtol=1e-12)
+            assert curvature_integral(other) == pytest.approx(curvature_integral(mix), rel=1e-12)
+
+    def test_order_independent_of_winning_restart(self, m7_500):
+        # Seeds 0 and 2 reach the same optimum from opposite labellings.
+        fits = [em_fit(m7_500, 2, EmConfig(seed=seed)) for seed in range(6)]
+        for fit in fits[1:]:
+            np.testing.assert_allclose(fit.mixture.mus, fits[0].mixture.mus, atol=1e-3)
+
 
 class TestAic:
     def test_trivial_values(self):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import i0e
 
 from conftest import series_bessel_i
 
@@ -11,6 +12,7 @@ from circkde.kde import (
     KdeFit,
     _kernel_coefficients,
     density_grid_of,
+    grid_thetas,
     ise,
     kde_evaluate,
     kde_grid,
@@ -117,6 +119,22 @@ class TestGrid:
         finally:
             kmod._CHUNK_CELLS = old
         np.testing.assert_allclose(chunked.values, kde_grid(fit, 256).values, rtol=1e-15)
+
+
+    def test_large_nu_matches_longdouble(self):
+        # exp(nu (cos d - 1)) loses nu * 1e-16 in the exponent to cancellation;
+        # the sin^2(d / 2) form keeps the relative error near the exponent's size
+        # times 1e-16. Nodes below 1e-100 are where float64 nears underflow.
+        sample = get_model("M20").sample(100, make_rng(8, 20))
+        nu = 1e5
+        fit = KdeFit(sample, nu)
+        got = kde_grid(fit, 64).values
+        d = grid_thetas(64).astype(np.longdouble)[:, None] - fit.sample.astype(np.longdouble)
+        ref = np.exp(-2 * np.longdouble(nu) * np.sin(d / 2) ** 2).mean(axis=1)
+        ref /= TWO_PI * i0e(nu)
+        kept = ref > 1e-100
+        assert kept.sum() >= 32
+        np.testing.assert_allclose(got[kept], ref[kept].astype(float), rtol=1e-13, atol=0)
 
 
 class TestIse:

@@ -278,3 +278,19 @@ def test_mixture_weight_validation():
         VonMisesMixture([], [], [])
     with pytest.raises(ValueError):
         VonMisesMixture([1.0], [0.0], [KAPPA_CAP * 2])
+
+
+@pytest.mark.parametrize(
+    "weights,mus,kappas",
+    [
+        ([1.0], [0.0], [math.nan]),
+        ([math.nan], [0.0], [1.0]),
+        ([1.0], [math.nan], [1.0]),
+        ([0.5, 0.5], [0.0, math.inf], [1.0, 1.0]),
+        ([0.5, 0.5], [0.0, 1.0], [1.0, -math.inf]),
+    ],
+    ids=["nan-kappa", "nan-weight", "nan-mu", "inf-mu", "neg-inf-kappa"],
+)
+def test_mixture_non_finite_rejected(weights, mus, kappas):
+    with pytest.raises(ValueError, match="finite"):
+        VonMisesMixture(weights, mus, kappas)
