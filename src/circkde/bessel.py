@@ -1,10 +1,16 @@
-"""Modified Bessel functions of the first kind and the ratio A(kappa).
+"""Modified Bessel functions of the first kind and the ratios built from them.
 
 Everything downstream (von Mises densities, the AMISE objective, the EM
 M-step) needs I_r evaluated stably for concentrations up to ``KAPPA_CAP``.
 Raw I_r(x) overflows near x = 700, so all ratio expressions are built from
 the exponentially scaled form exp(-x) * I_r(x); the exponential factors
 cancel algebraically and are never materialized.
+
+This module owns the von Mises characteristic function
+rho_m(kappa) = I_m(kappa) / I_0(kappa) (``_kernel_coefficients``) and the
+rule that truncates it (``_order_count``). Three users share them: the
+ORACLE curve and LCV in ``kde`` and ``selectors``, where kappa is the
+kernel concentration nu, and the mixture curvature in ``models``.
 
 Backed by ``scipy.special`` (``iv`` / ``ive``); an independent power-series
 oracle lives in the test suite.
@@ -24,6 +30,11 @@ OVERFLOW_THRESHOLD = 700.0
 
 # A(KAPPA_CAP): resultant lengths at or above this saturate the inversion.
 _A_AT_CAP = float(i1e(KAPPA_CAP) / i0e(KAPPA_CAP))
+
+# Orders whose kernel coefficient rho_m(nu_max) is at most this are dropped.
+# |phi_m| <= 1, so each dropped term is below double precision of the
+# estimator's Fourier coefficients, whose order 0 term is 1.
+_RHO_FLOOR = 1e-17
 
 
 def bessel_i(r: int, x: float) -> float:
@@ -82,6 +93,32 @@ def inverse_mean_resultant_ratio(rbar):
 def is_saturated(kappa) -> bool:
     """True when a concentration sits at the representable cap."""
     return bool(np.all(np.asarray(kappa) >= KAPPA_CAP))
+
+
+def _order_count(nu_max: float) -> int:
+    """The first order K with rho_K(nu_max) <= _RHO_FLOOR.
+
+    rho_m(nu) falls with m and rises with nu, so no order from K on
+    exceeds the floor at any nu <= nu_max.
+    """
+    size = 64
+    while True:
+        tail = ive(np.arange(size), nu_max) / i0e(nu_max)
+        below = np.flatnonzero(tail <= _RHO_FLOOR)
+        if below.size:
+            return int(below[0])
+        size *= 2
+
+
+def _kernel_coefficients(nus: np.ndarray, orders: int | None = None) -> np.ndarray:
+    """rho_m(nu) = I_m(nu) / I_0(nu), shape (nus.size, K), for m = 0..K-1.
+
+    K is ``orders``, by default ``_order_count(max nu)``.
+    """
+    if orders is None:
+        orders = _order_count(float(nus.max()))
+    m = np.arange(orders)
+    return ive(m[None, :], nus[:, None]) / i0e(nus)[:, None]
 
 
 def _check_order(r: int) -> None:

@@ -156,7 +156,7 @@ def select_reference_mixture(
             continue
         curv = curvature_integral(fit.mixture)
         if not math.isfinite(curv):
-            rejected[m] = "curvature integral did not converge"
+            rejected[m] = "curvature integral is not finite"
             continue
         eligible.append((fit.aic, m, fit, curv))
 

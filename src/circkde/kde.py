@@ -8,7 +8,9 @@ kernel's characteristic function (Mardia & Jupp 2000, Directional
 Statistics, sec. 3.5). ``oracle_mise_curve`` gives the simulation
 oracle's ISE curve from them, and ``selectors.lcv`` the estimator at its
 own sample points, from a K x n table in place of an n x n kernel
-matrix. Both keep the K orders ``_order_count`` retains.
+matrix. Both keep the K orders ``bessel._order_count`` retains; rho_m and
+its truncation belong to ``bessel``, which ``models`` shares for the
+mixture curvature.
 """
 
 from __future__ import annotations
@@ -16,9 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import i0e, ive
+from scipy.special import i0e
 
-from .bessel import KAPPA_CAP
+from .bessel import KAPPA_CAP, _kernel_coefficients
 from .models import TWO_PI, _as_sample, wrap_angle
 
 # Large enough for 1e-8 quadrature agreement on every density in the study.
@@ -26,11 +28,6 @@ DEFAULT_GRIDSIZE = 1024
 
 # Cap on the kernel values one block of a grid evaluation holds at once.
 _CHUNK_CELLS = 1 << 24
-
-# Orders whose kernel coefficient rho_m(nu_max) is at most this are dropped.
-# |phi_m| <= 1, so each dropped term is below double precision of the
-# estimator's Fourier coefficients, whose order 0 term is 1.
-_RHO_FLOOR = 1e-17
 
 
 @dataclass(frozen=True)
@@ -176,32 +173,6 @@ def oracle_mise_curve(samples, truth: DensityGrid, nus) -> np.ndarray:
         diff = spectrum - gamma
         out[i] = ((diff.real**2 + diff.imag**2) @ weights + tail) / TWO_PI
     return out
-
-
-def _order_count(nu_max: float) -> int:
-    """The first order K with rho_K(nu_max) <= _RHO_FLOOR.
-
-    rho_m(nu) falls with m and rises with nu, so no order from K on
-    exceeds the floor at any nu <= nu_max.
-    """
-    size = 64
-    while True:
-        tail = ive(np.arange(size), nu_max) / i0e(nu_max)
-        below = np.flatnonzero(tail <= _RHO_FLOOR)
-        if below.size:
-            return int(below[0])
-        size *= 2
-
-
-def _kernel_coefficients(nus: np.ndarray, orders: int | None = None) -> np.ndarray:
-    """rho_m(nu) = I_m(nu) / I_0(nu), shape (nus.size, K), for m = 0..K-1.
-
-    K is ``orders``, by default ``_order_count(max nu)``.
-    """
-    if orders is None:
-        orders = _order_count(float(nus.max()))
-    m = np.arange(orders)
-    return ive(m[None, :], nus[:, None]) / i0e(nus)[:, None]
 
 
 def _trig_moments(sample, orders: int, block: int) -> np.ndarray:

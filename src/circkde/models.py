@@ -3,6 +3,8 @@
 All angles are radians on [0, 2*pi). Densities accept scalars or arrays
 and are vectorized over theta. Samplers draw from an explicit
 ``numpy.random.Generator`` and are deterministic given its state.
+``curvature_integral`` sums a von Mises mixture's curvature as a series
+in the Bessel ratios rho_m that ``bessel`` owns.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import numpy as np
 from scipy.special import i0e
 from scipy.stats import norm
 
-from .bessel import KAPPA_CAP
+from .bessel import KAPPA_CAP, _kernel_coefficients
 
 TWO_PI = 2.0 * math.pi
 
@@ -256,15 +258,6 @@ class VonMisesMixture:
         comp = np.exp(self.kappas * (cosd - 1.0)) / (TWO_PI * i0e(self.kappas))
         return _ret(comp @ self.weights, scalar)
 
-    def second_derivative(self, theta):
-        """Analytic d^2/dtheta^2 of the mixture density."""
-        arr, scalar = _as_theta(theta)
-        d = arr[:, None] - self.mus[None, :]
-        cosd = np.cos(d)
-        comp = np.exp(self.kappas * (cosd - 1.0)) / (TWO_PI * i0e(self.kappas))
-        poly = self.kappas**2 * np.sin(d) ** 2 - self.kappas * cosd
-        return _ret((poly * comp) @ self.weights, scalar)
-
 
 @dataclass(frozen=True)
 class ModelSpec:
@@ -303,32 +296,22 @@ class ModelSpec:
         return out
 
 
-def curvature_integral(
-    mix: VonMisesMixture,
-    rel_tol: float = 1e-8,
-    start_power: int = 10,
-    max_power: int = 16,
-) -> float:
+def curvature_integral(mix: VonMisesMixture) -> float:
     """Integral of the squared second derivative over one period.
 
-    Periodic trapezoid quadrature, doubling the grid from 2**start_power
-    until two successive refinements agree to ``rel_tol`` relative.
-    Returns ``math.inf`` when the refinement cap is reached without
-    convergence or an evaluation is non-finite, signalling that the
-    curvature functional is numerically intractable for this mixture.
+    The mixture's Fourier coefficients are
+    c_m = sum_j w_j rho_m(kappa_j) exp(-i m mu_j), so by Parseval the
+    integral is (1/pi) sum over m >= 1 of m^4 |c_m|^2 (Mardia & Jupp 2000,
+    sec. 3.5). The sum stops at the order count for the largest kappa,
+    where every component's rho_m is at most ``bessel._RHO_FLOOR``. The
+    weights sum to 1, so |c_m| <= max_j rho_m(kappa_j) and every dropped
+    term is below m^4 * 1e-34; rho_m falls faster than geometrically past
+    that order, so the floor that truncates the estimator's coefficients
+    also suffices here.
     """
-    prev = None
-    for p in range(start_power, max_power + 1):
-        m = 1 << p
-        theta = np.arange(m) * (TWO_PI / m)
-        vals = mix.second_derivative(theta) ** 2
-        if not np.all(np.isfinite(vals)):
-            return math.inf
-        cur = float(vals.sum() * (TWO_PI / m))
-        if prev is not None:
-            if cur == 0.0 and prev == 0.0:
-                return 0.0
-            if abs(cur - prev) <= rel_tol * max(abs(cur), abs(prev)):
-                return cur
-        prev = cur
-    return math.inf
+    rho = _kernel_coefficients(mix.kappas)[:, 1:]
+    m = np.arange(1.0, rho.shape[1] + 1.0)
+    # A sum, not weights @ (...): OpenBLAS's threaded complex gemv took
+    # 8 ms for the 2 x 2,798 product of two components at KAPPA_CAP.
+    c = (mix.weights[:, None] * rho * np.exp(-1j * mix.mus[:, None] * m)).sum(axis=0)
+    return float(m**4 @ (c.real**2 + c.imag**2)) / math.pi

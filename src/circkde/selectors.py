@@ -23,9 +23,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import i0e, ive
 
-from .bessel import KAPPA_CAP
+from .bessel import KAPPA_CAP, _kernel_coefficients, _order_count
 from .em import EmConfig, fit_single_von_mises, select_reference_mixture
-from .kde import _kernel_coefficients, _order_count
 # Unused here, but perfbench/tracing.py wraps selectors.kde_grid and selectors.ise.
 from .kde import ise, kde_grid  # noqa: F401
 from .models import TWO_PI, _as_sample, wrap_angle
@@ -156,11 +155,11 @@ def taylor_rule_nu(kappa: float, n: int) -> float:
     Taylor's (2008) published rule: the minimiser of the large-``nu``
     AMISE, nu = (2 sqrt(pi) n R)^(2/5), with the von Mises curvature taken
     as R = 3 kappa^2 I2(2 kappa) / (8 pi I0(kappa)^2). That R is the
-    large-kappa limit of :func:`circkde.models.curvature_integral` for a
-    single von Mises, whose exact value is
-    kappa^2 (2 I0(2 kappa) + I2(2 kappa)) / (8 pi I0(kappa)^2). The
-    constant is kept as published so that RT reproduces the reference
-    tables.
+    large-kappa limit of the exact single von Mises curvature
+    kappa^2 (2 I0(2 kappa) + I2(2 kappa)) / (8 pi I0(kappa)^2), which
+    :func:`circkde.models.curvature_integral` gives (as the Bessel-ratio
+    series (1/pi) sum_m m^4 rho_m(kappa)^2) and PI uses. The constant is
+    kept as published so that RT reproduces the reference tables.
     """
     if kappa < 0:
         raise ValueError("kappa must be non-negative")
@@ -244,7 +243,7 @@ def lcv(sample, domain: NuSearchDomain | None = None) -> BandwidthResult:
     refines with golden-section search around the best probe. The
     objective is ``lcv_objective`` up to rounding, computed from the K x n
     table T[m, i] = sum_j cos(m (Theta_i - Theta_j)), built once per call
-    with K = ``kde._order_count(domain.nu_max)``. The kernel's expansion
+    with K = ``bessel._order_count(domain.nu_max)``. The kernel's expansion
     exp(nu cos x) = I_0(nu) (1 + 2 sum_m rho_m(nu) cos(m x)) gives each
     row's leave-one-out sum as i0e(nu) (rho~ @ T)_i - 1, with
     rho~ = (1, 2 rho_1, 2 rho_2, ...), so each nu costs O(K n). Rows whose
@@ -284,12 +283,17 @@ def lcv(sample, domain: NuSearchDomain | None = None) -> BandwidthResult:
 
 
 def _direct_sums(arr: np.ndarray, rows: np.ndarray, nu: float) -> np.ndarray:
-    """sum over j != i of exp(nu (cos(Theta_i - Theta_j) - 1)), for each i in rows."""
+    """sum over j != i of exp(nu (cos(Theta_i - Theta_j) - 1)), for each i in rows.
+
+    The exponent is -2 nu sin^2(d / 2), as in ``kde._kernel_mean``: cos d - 1
+    would lose nu * 1e-16 of absolute accuracy at large nu.
+    """
+    half = 0.5 * arr
     out = np.empty(rows.size)
     step = max(1, _BLOCK_CELLS // arr.size)
     for lo in range(0, rows.size, step):
         idx = rows[lo : lo + step]
-        w = np.exp(nu * (np.cos(arr[idx, None] - arr[None, :]) - 1.0))
+        w = np.exp(np.sin(half[idx, None] - half[None, :]) ** 2 * (-2.0 * nu))
         # Zero the self-term rather than subtracting it afterwards: the
         # subtraction would cancel any contribution below one ulp of 1.
         w[np.arange(idx.size), idx] = 0.0

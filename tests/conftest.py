@@ -3,6 +3,7 @@
 import math
 
 import numpy as np
+from scipy.special import i0e
 from scipy.stats import chi2
 
 TWO_PI = 2.0 * math.pi
@@ -23,6 +24,18 @@ def series_bessel_i(r: int, x: float, tol: float = 1e-17, max_terms: int = 300) 
         if term < tol * total:
             break
     return total
+
+
+def mixture_second_derivative(mix, theta) -> np.ndarray:
+    """Analytic f''(theta) of a von Mises mixture, for curvature references.
+
+    Each component g = exp(-2 k sin^2(d/2)) / (2 pi I_0(k) e^-k), d = theta - mu,
+    has g'' = g (k^2 sin^2 d - k cos d).
+    """
+    d = np.atleast_1d(np.asarray(theta, dtype=float))[:, None] - mix.mus[None, :]
+    k = mix.kappas
+    g = np.exp(np.sin(0.5 * d) ** 2 * (-2.0 * k)) / (TWO_PI * i0e(k))
+    return (g * (k**2 * np.sin(d) ** 2 - k * np.cos(d))) @ mix.weights
 
 
 def arc_probabilities(model, arcs: int = 36, subdivisions: int = 64) -> np.ndarray:

@@ -6,11 +6,11 @@ from scipy.special import i0e
 
 from conftest import series_bessel_i
 
+from circkde.bessel import _kernel_coefficients
 from circkde.catalogue import get_model
 from circkde.kde import (
     DensityGrid,
     KdeFit,
-    _kernel_coefficients,
     density_grid_of,
     grid_thetas,
     ise,

@@ -1,13 +1,15 @@
 import math
+import zlib
 from dataclasses import replace
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from conftest import chi_square_gof_pvalue, circular_distance, series_bessel_i
+from conftest import chi_square_gof_pvalue, circular_distance, mixture_second_derivative, series_bessel_i
 
 from circkde.bessel import KAPPA_CAP, mean_resultant_ratio
 from circkde.catalogue import CATALOGUE, MODEL_IDS, catalogue_json, get_model
@@ -164,7 +166,8 @@ class TestSamplers:
         ids=lambda f: type(f).__name__,
     )
     def test_goodness_of_fit_primitives(self, family):
-        x = family.sample(10_000, make_rng(11, hash(type(family).__name__) % 1000))
+        # crc32, not hash(): str hashes are salted per interpreter.
+        x = family.sample(10_000, make_rng(11, zlib.crc32(type(family).__name__.encode()) % 1000))
         assert chi_square_gof_pvalue(x, family, arcs=36) > 0.001
 
     @pytest.mark.parametrize("mid", MODEL_IDS)
@@ -175,16 +178,20 @@ class TestSamplers:
         assert chi_square_gof_pvalue(x, model, arcs=36, pool_min_expected=5.0) > 0.001
 
 
-class TestSecondDerivative:
-    def test_uniform_component_zero(self):
-        mix = VonMisesMixture([1.0], [0.5], [0.0])
-        assert np.all(mix.second_derivative(grid(64)) == 0.0)
+def trapezoid_curvature(mix) -> float:
+    """Periodic trapezoid integral of the test-local f''^2 on 2**14 nodes.
 
-    def test_von_mises_at_mode(self):
-        # at the mode the sine term vanishes: g'' = -kappa * g
-        mix = VonMisesMixture([1.0], [0.0], [2.0])
-        expected = -2.0 * math.exp(2.0) / (TWO_PI * series_bessel_i(0, 2.0))
-        assert mix.second_derivative(0.0) == pytest.approx(expected, rel=1e-12)
+    (f'')^2 is a trigonometric polynomial of degree twice the mixture's
+    retained order count (about 5,600 at KAPPA_CAP) up to terms below
+    rounding, so 2**14 nodes integrate it exactly.
+    """
+    g = 1 << 14
+    vals = mixture_second_derivative(mix, np.arange(g) * (TWO_PI / g))
+    return float(vals @ vals) * (TWO_PI / g)
+
+
+class TestSecondDerivative:
+    """The test-local analytic f'' that the curvature references integrate."""
 
     @pytest.mark.parametrize(
         "mix",
@@ -199,13 +206,14 @@ class TestSecondDerivative:
         h = 1e-5
         for theta in np.linspace(0.1, TWO_PI - 0.1, 25):
             fd = (mix.density(theta + h) - 2 * mix.density(theta) + mix.density(theta - h)) / h**2
-            exact = mix.second_derivative(theta)
+            exact = mixture_second_derivative(mix, theta)[0]
             assert exact == pytest.approx(fd, rel=1e-4, abs=5e-6)
 
 
 class TestCurvatureIntegral:
     def test_uniform_zero(self):
         assert curvature_integral(VonMisesMixture([1.0], [1.0], [0.0])) == 0.0
+        assert curvature_integral(VonMisesMixture([0.3, 0.7], [1.0, 4.0], [0.0, 0.0])) == 0.0
 
     @pytest.mark.parametrize("kappa", [0.5, 1.0, 2.0, 5.0])
     def test_single_von_mises_closed_form(self, kappa):
@@ -216,12 +224,35 @@ class TestCurvatureIntegral:
             / (8 * math.pi * series_bessel_i(0, kappa) ** 2)
         )
         got = curvature_integral(VonMisesMixture([1.0], [0.0], [kappa]))
-        assert got == pytest.approx(expected, rel=1e-8)
+        assert got == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("kappa", [50.0, 500.0, 5e4])
+    def test_single_von_mises_identity_at_high_kappa(self, kappa):
+        with mp.workdps(40):
+            k = mp.mpf(kappa)
+            exact = k**2 * (2 * mp.besseli(0, 2 * k) + mp.besseli(2, 2 * k)) / (8 * mp.pi * mp.besseli(0, k) ** 2)
+        got = curvature_integral(VonMisesMixture([1.0], [0.0], [kappa]))
+        assert got == pytest.approx(float(exact), rel=1e-13)
 
     def test_against_adaptive_quadrature(self):
         mix = VonMisesMixture([0.5, 0.5], [0.0, math.pi], [4.0, 4.0])
-        ref, _ = quad(lambda t: mix.second_derivative(t) ** 2, 0.0, TWO_PI, limit=400)
-        assert curvature_integral(mix) == pytest.approx(ref, rel=1e-7)
+        ref, _ = quad(lambda t: mixture_second_derivative(mix, t)[0] ** 2, 0.0, TWO_PI, limit=400)
+        assert curvature_integral(mix) == pytest.approx(ref, rel=1e-10)
+
+    def test_matches_exact_trapezoid(self):
+        rng = make_rng(17)
+        mixes = []
+        for _ in range(40):
+            m = int(rng.integers(1, 6))
+            kappas = np.exp(rng.uniform(math.log(0.05), math.log(1e4), m))
+            mixes.append(VonMisesMixture(rng.dirichlet(np.ones(m)), rng.uniform(0.0, TWO_PI, m), kappas))
+        mixes += [
+            VonMisesMixture([1.0], [0.3], [KAPPA_CAP]),
+            VonMisesMixture([0.3, 0.7], [0.3, 2.0], [KAPPA_CAP, 50.0]),
+            VonMisesMixture([0.5, 0.5], [1.0, 1.001], [KAPPA_CAP, KAPPA_CAP]),
+        ]
+        for mix in mixes:
+            assert curvature_integral(mix) == pytest.approx(trapezoid_curvature(mix), rel=1e-12), mix
 
     def test_m7_exceeds_its_single_component_reference(self):
         # The antipodal mixture nearly cancels the resultant, so the single
@@ -239,11 +270,6 @@ class TestCurvatureIntegral:
         for phi in (0.7, 2.9):
             rotated = VonMisesMixture(mix.weights, mix.mus + phi, mix.kappas)
             assert curvature_integral(rotated) == pytest.approx(base, rel=1e-8)
-
-    def test_non_convergence_marker(self):
-        # With the refinement cap pulled down the integral cannot stabilize.
-        mix = VonMisesMixture([1.0], [0.0], [1e4])
-        assert curvature_integral(mix, start_power=4, max_power=5) == math.inf
 
 
 class TestCatalogue:

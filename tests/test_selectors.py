@@ -4,15 +4,17 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.special import i0e
 
 from conftest import series_bessel_i
 
 from test_em import degenerate_sample
 
 from circkde import selectors
+from circkde.bessel import _order_count
 from circkde.catalogue import get_model
 from circkde.em import EmConfig, em_fit, fit_single_von_mises, log_likelihood, select_reference_mixture
-from circkde.kde import KdeFit, _order_count, density_grid_of, ise, kde_grid, oracle_mise_curve
+from circkde.kde import KdeFit, density_grid_of, ise, kde_grid, oracle_mise_curve
 from circkde.models import TWO_PI, VonMises, VonMisesMixture, wrap_angle
 from circkde.rng import make_rng
 from circkde.selectors import (
@@ -289,6 +291,20 @@ class TestLcv:
         assert res.diagnostics["direct_rows"] > 0
         for nu, value in seen:
             assert value == pytest.approx(lcv_objective(sample, nu), rel=1e-12)
+
+    def test_direct_objective_at_large_nu(self):
+        # Twins 3e-8 to 6e-7 apart: at nu = 1e5 each leave-one-out sum is
+        # the twin's kernel value exp(-nu d^2 / 2), nu d^2 / 2 from 4.5e-11
+        # to 1.8e-8. cos d rounds to within 5.6e-17 of 1 - d^2 / 2, so
+        # nu (cos d - 1) would be off by up to 5.6e-12.
+        base = np.linspace(0.0, TWO_PI, 20, endpoint=False) + 0.3
+        sample = np.concatenate([base, base + 3e-8 * np.arange(1, 21)])
+        nu = 1e5
+        x = sample.astype(np.longdouble)
+        w = np.exp(nu * (np.cos(x[:, None] - x[None, :]) - 1))
+        np.fill_diagonal(w, 0)
+        ref = np.log(w.sum(axis=1) / ((x.size - 1) * TWO_PI * np.longdouble(i0e(nu)))).sum()
+        assert lcv_objective(sample, nu) == pytest.approx(float(ref), rel=1e-13)
 
     def test_diagnostics(self, m2_100):
         res = lcv(m2_100)
