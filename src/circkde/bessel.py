@@ -99,15 +99,16 @@ def _order_count(nu_max: float) -> int:
     """The first order K with rho_K(nu_max) <= _RHO_FLOOR.
 
     rho_m(nu) falls with m and rises with nu, so no order from K on
-    exceeds the floor at any nu <= nu_max.
+    exceeds the floor at any nu <= nu_max. The search scans orders
+    [0, 64), then [64, 128), [128, 256), ..., each order once.
     """
-    size = 64
+    lo, hi = 0, 64
     while True:
-        tail = ive(np.arange(size), nu_max) / i0e(nu_max)
+        tail = ive(np.arange(lo, hi), nu_max) / i0e(nu_max)
         below = np.flatnonzero(tail <= _RHO_FLOOR)
         if below.size:
-            return int(below[0])
-        size *= 2
+            return lo + int(below[0])
+        lo, hi = hi, 2 * hi
 
 
 def _kernel_coefficients(nus: np.ndarray, orders: int | None = None) -> np.ndarray:

@@ -26,8 +26,8 @@ from .models import TWO_PI, _as_sample, wrap_angle
 # Large enough for 1e-8 quadrature agreement on every density in the study.
 DEFAULT_GRIDSIZE = 1024
 
-# Cap on the kernel values one block of a grid evaluation holds at once.
-_CHUNK_CELLS = 1 << 24
+# Kernel values one block of a grid evaluation holds: 512 KiB of float64.
+_CHUNK_CELLS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -114,16 +114,22 @@ def ise(a: DensityGrid, b: DensityGrid) -> float:
 def _kernel_mean(thetas: np.ndarray, sample: np.ndarray, nu: float) -> np.ndarray:
     # cos d - 1 = -2 sin^2(d / 2), without the cancellation that costs
     # nu * 1e-16 of absolute accuracy in the exponent at large nu. Halving
-    # before the subtraction keeps the G x n passes at five. One block
-    # whenever thetas.size * sample.size <= _CHUNK_CELLS; a single
-    # expression keeps at most two block-sized temporaries alive at once.
+    # before the subtraction keeps the G x n passes at five. They run in
+    # place on one buffer of about _CHUNK_CELLS cells (whole sample rows),
+    # small enough to stay in cache between passes.
     half_thetas, half_sample = 0.5 * thetas, 0.5 * sample
     out = np.empty(thetas.size)
     step = max(1, _CHUNK_CELLS // sample.size)
+    buf = np.empty((min(step, thetas.size), sample.size))
     for lo in range(0, thetas.size, step):
-        out[lo : lo + step] = np.exp(
-            np.sin(half_thetas[lo : lo + step, None] - half_sample[None, :]) ** 2 * (-2.0 * nu)
-        ).mean(axis=1)
+        hi = min(lo + step, thetas.size)
+        block = buf[: hi - lo]
+        np.subtract(half_thetas[lo:hi, None], half_sample[None, :], out=block)
+        np.sin(block, out=block)
+        np.square(block, out=block)
+        np.multiply(block, -2.0 * nu, out=block)
+        np.exp(block, out=block)
+        out[lo:hi] = block.mean(axis=1)
     return out / (TWO_PI * i0e(nu))
 
 

@@ -5,13 +5,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import i0e, ive
 
 from conftest import series_bessel_i
 
 from circkde.bessel import (
     KAPPA_CAP,
     OVERFLOW_THRESHOLD,
+    _RHO_FLOOR,
     _newton_start,
+    _order_count,
     bessel_i,
     inverse_mean_resultant_ratio,
     is_saturated,
@@ -213,6 +216,22 @@ class TestInverse:
             warnings.simplefilter("error")
             k = inverse_mean_resultant_ratio(rbar)
         assert k == pytest.approx(2.0 * rbar, rel=1e-12)
+
+
+class TestOrderCount:
+    @staticmethod
+    def full_scan(nu: float) -> int:
+        """First order with rho_m(nu) <= the floor, from one pass over 4,096 orders."""
+        rho = ive(np.arange(4096), nu) / i0e(nu)
+        return int(np.flatnonzero(rho <= _RHO_FLOOR)[0])
+
+    def test_matches_full_scan(self):
+        nus = np.append(np.logspace(-3, math.log10(KAPPA_CAP), 401), [91.0, 209.0])
+        got = [_order_count(nu) for nu in nus]
+        assert got == [self.full_scan(nu) for nu in nus]
+        # The grid reaches the first and the last order of the block [64, 128).
+        assert {64, 127} <= set(got)
+        assert got[400] == 2799  # at KAPPA_CAP
 
 
 def test_kappa_cap_large_enough():

@@ -258,16 +258,40 @@ class TestSimulateCommand:
         assert not (tmp_path / "simulation_report.json").exists()
 
 
+def run_python(*args):
+    """A fresh interpreter that imports circkde from the tree under test."""
+    src = str(Path(circkde.__file__).resolve().parents[1])
+    path = [src, *filter(None, [os.environ.get("PYTHONPATH")])]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, timeout=120)
+
+
 class TestModuleEntryPoint:
     def test_python_m_circkde(self):
-        src = str(Path(circkde.__file__).resolve().parents[1])
-        path = [src, *filter(None, [os.environ.get("PYTHONPATH")])]
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
-        proc = subprocess.run(
-            [sys.executable, "-m", "circkde", "models"], capture_output=True, text=True, env=env, timeout=120
-        )
+        proc = run_python("-m", "circkde", "models")
         assert proc.returncode == 0, proc.stderr
         assert len(json.loads(proc.stdout)) == 20
+
+
+class TestColdStart:
+    """scipy.stats alone is most of the cost of importing circkde, which needs none of it."""
+
+    @staticmethod
+    def imported(*args) -> set[str]:
+        # -X importtime reports each module on its first import, on stderr.
+        proc = run_python("-X", "importtime", *args)
+        assert proc.returncode == 0, proc.stderr
+        return {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines() if line.startswith("import time:")}
+
+    def test_import_leaves_out_scipy_stats(self):
+        modules = self.imported("-c", "import circkde, circkde.cli")
+        assert {"circkde.cli", "scipy.special"} <= modules
+        assert "scipy.stats" not in modules
+
+    def test_models_command_leaves_out_scipy_stats(self):
+        modules = self.imported("-m", "circkde", "models")
+        assert {"circkde.cli", "scipy.special"} <= modules
+        assert "scipy.stats" not in modules
 
 
 class TestUsageErrors:

@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.special import i0e
+from scipy.stats import norm
 
 from conftest import chi_square_gof_pvalue, circular_distance, mixture_second_derivative, series_bessel_i
 
@@ -20,6 +22,7 @@ from circkde.models import (
     TWO_PI,
     VonMises,
     VonMisesMixture,
+    WRAP_TERMS,
     WrappedCauchy,
     WrappedNormal,
     WrappedSkewNormal,
@@ -43,6 +46,22 @@ def test_wrap_angle_idempotent(theta):
     w = wrap_angle(theta)
     assert 0.0 <= w < TWO_PI
     assert wrap_angle(w) == w
+
+
+def scipy_stats_normal_density(part, theta):
+    """A wrapped Normal or skew-Normal density written with ``scipy.stats.norm``."""
+    ks = TWO_PI * np.arange(-WRAP_TERMS, WRAP_TERMS + 1)
+    if isinstance(part, WrappedNormal):
+        x = theta[:, None] - part.mu + ks[None, :]
+        return norm.pdf(x / part.sigma).sum(axis=1) / part.sigma
+    z = (theta[:, None] - part.xi + ks[None, :]) / part.eta
+    return (2.0 / part.eta) * (norm.pdf(z) * norm.cdf(part.lam * z)).sum(axis=1)
+
+
+NORMAL_MODELS = [
+    mid for mid in MODEL_IDS
+    if any(isinstance(p, (WrappedNormal, WrappedSkewNormal)) for p in get_model(mid).parts)
+]
 
 
 class TestDensities:
@@ -86,6 +105,34 @@ class TestDensities:
         wsn = WrappedSkewNormal(xi=0.0, eta=1.0, lam=20.0)
         val, _ = quad(lambda t: float(wsn.density(t)), 0.0, TWO_PI, limit=400)
         assert val == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("mid", NORMAL_MODELS)
+    def test_normal_parts_equal_scipy_stats(self, mid):
+        # The Normal pdf and cdf come from scipy.special; they must give the
+        # same bits as scipy.stats.norm, on and off the canonical range.
+        theta = np.concatenate((grid(), [-7.0, -1e-3, TWO_PI, 9.5]))
+        parts = [p for p in get_model(mid).parts if isinstance(p, (WrappedNormal, WrappedSkewNormal))]
+        assert parts
+        for part in parts:
+            np.testing.assert_array_equal(part.density(theta), scipy_stats_normal_density(part, theta))
+
+    def test_von_mises_at_cap_matches_longdouble(self):
+        # exp(kappa (cos d - 1)) loses kappa * 1e-16 in the exponent to
+        # cancellation, 5.5e-12 relative at kappa = 1e5; the sin^2(d / 2)
+        # form keeps the error near 1e-15.
+        kappa, mu = KAPPA_CAP, 1.3
+        theta = mu + np.linspace(-0.01, 0.01, 2001)
+        norm_const = TWO_PI * np.longdouble(i0e(kappa))
+
+        def ref_component(centre):
+            d = theta.astype(np.longdouble) - np.longdouble(centre)
+            return np.exp(-2 * np.longdouble(kappa) * np.sin(d / 2) ** 2) / norm_const
+
+        single = ref_component(mu)
+        np.testing.assert_allclose(VonMises(mu, kappa).density(theta), single.astype(float), rtol=1e-13, atol=0)
+        mix = VonMisesMixture([0.25, 0.75], [mu, mu + 0.004], [kappa, kappa])
+        both = 0.25 * single + 0.75 * ref_component(mu + 0.004)
+        np.testing.assert_allclose(mix.density(theta), both.astype(float), rtol=1e-13, atol=0)
 
     @pytest.mark.parametrize("mid", MODEL_IDS)
     def test_normalization(self, mid):
