@@ -23,7 +23,6 @@ from .models import (
     CircularUniform,
     ModelSpec,
     VonMises,
-    VonMisesComponent,
     VonMisesMixture,
     WrappedCauchy,
     WrappedNormal,

@@ -60,7 +60,7 @@ def mean_resultant_ratio(kappa):
     toward 1.
     """
     k = np.asarray(kappa, dtype=float)
-    if np.any(k < 0):
+    if not (k >= 0).all():  # also catches NaN
         raise ValueError("kappa must be non-negative")
     out = i1e(k) / i0e(k)
     return float(out) if np.isscalar(kappa) or k.ndim == 0 else out
@@ -81,7 +81,7 @@ def inverse_mean_resultant_ratio(rbar):
     :func:`is_saturated`.
     """
     r = np.atleast_1d(np.asarray(rbar, dtype=float))
-    if (r < 0).any():
+    if not (r >= 0).all():  # also catches NaN
         raise ValueError("rbar must be non-negative")
     out = np.where(r > 0, KAPPA_CAP, 0.0)
     interior = (r > 0) & (r < _A_AT_CAP)

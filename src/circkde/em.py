@@ -15,7 +15,7 @@ import numpy as np
 from scipy.special import i0e
 
 from .bessel import inverse_mean_resultant_ratio, is_saturated
-from .models import TWO_PI, VonMisesComponent, VonMisesMixture, _as_sample, curvature_integral, wrap_angle
+from .models import TWO_PI, VonMises, VonMisesMixture, _as_sample, curvature_integral, wrap_angle
 from .rng import make_rng
 
 DEFAULT_CANDIDATE_MS: tuple[int, ...] = (2, 3, 4, 5)
@@ -61,7 +61,7 @@ def aic_value(log_likelihood: float, m: int) -> float:
     return 2.0 * (3 * m - 1) - 2.0 * log_likelihood
 
 
-def fit_single_von_mises(sample) -> VonMisesComponent:
+def fit_single_von_mises(sample) -> VonMises:
     """MLE of a single von Mises: mean direction and A^{-1} of the resultant."""
     arr = _as_sample(sample)
     c = np.cos(arr).sum()
@@ -70,7 +70,7 @@ def fit_single_von_mises(sample) -> VonMisesComponent:
     rbar = min(math.hypot(c, s) / arr.size, 1.0)
     if rbar < 1e-12:  # resultant below summation noise: exact symmetry
         rbar = 0.0
-    return VonMisesComponent(mu=mu, kappa=inverse_mean_resultant_ratio(rbar))
+    return VonMises(mu=mu, kappa=inverse_mean_resultant_ratio(rbar))
 
 
 def log_likelihood(sample, mixture: VonMisesMixture) -> float:

@@ -1,16 +1,17 @@
 """Von Mises-kernel circular density estimation and the ISE functional.
 
-Grids are evaluated by the direct kernel sum. Work that needs one sample
-at many concentrations uses trigonometric moments instead: the
+This module owns both blocked evaluations of the estimator, each about
+``_CHUNK_CELLS`` cells at a time. ``_kernel_blocks`` gives the direct
+kernel sums of the density grid and of LCV's guard rows.
+``_harmonic_blocks`` gives cos and sin(m Theta) for the spectral form: the
 estimator's Fourier coefficients are phi_m rho_m(nu), with
 phi_m = mean(exp(-i m Theta)) and rho_m(nu) = I_m(nu) / I_0(nu) the
 kernel's characteristic function (Mardia & Jupp 2000, Directional
-Statistics, sec. 3.5). ``oracle_mise_curve`` gives the simulation
-oracle's ISE curve from them, and ``selectors.lcv`` the estimator at its
-own sample points, from a K x n table in place of an n x n kernel
-matrix. Both keep the K orders ``bessel._order_count`` retains; rho_m and
-its truncation belong to ``bessel``, which ``models`` shares for the
-mixture curvature.
+Statistics, sec. 3.5). From them ``oracle_mise_curve`` gives the oracle's
+ISE curve, and ``selectors.lcv`` the estimator at its own sample points
+(a K x n table, not an n x n kernel matrix). Both keep the K orders
+``bessel._order_count`` retains; rho_m and its truncation belong to
+``bessel``.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .models import TWO_PI, _as_sample, wrap_angle
 # Large enough for 1e-8 quadrature agreement on every density in the study.
 DEFAULT_GRIDSIZE = 1024
 
-# Kernel values one block of a grid evaluation holds: 512 KiB of float64.
+# Cells one block of either blocked evaluation holds: 512 KiB of float64.
 _CHUNK_CELLS = 1 << 16
 
 
@@ -112,25 +113,43 @@ def ise(a: DensityGrid, b: DensityGrid) -> float:
 
 
 def _kernel_mean(thetas: np.ndarray, sample: np.ndarray, nu: float) -> np.ndarray:
-    # cos d - 1 = -2 sin^2(d / 2), without the cancellation that costs
-    # nu * 1e-16 of absolute accuracy in the exponent at large nu. Halving
-    # before the subtraction keeps the G x n passes at five. They run in
-    # place on one buffer of about _CHUNK_CELLS cells (whole sample rows),
-    # small enough to stay in cache between passes.
-    half_thetas, half_sample = 0.5 * thetas, 0.5 * sample
     out = np.empty(thetas.size)
+    for lo, hi, block in _kernel_blocks(thetas, sample, nu):
+        out[lo:hi] = block.mean(axis=1)
+    return out / (TWO_PI * i0e(nu))
+
+
+def _kernel_blocks(points: np.ndarray, sample: np.ndarray, nu: float):
+    """Yield (lo, hi, block), block[i, j] = exp(-2 nu sin^2((points[lo + i] - sample[j]) / 2)).
+
+    cos d - 1 = -2 sin^2(d / 2), without the cancellation that costs
+    nu * 1e-16 of absolute accuracy in the exponent at large nu. Halving
+    before the subtraction keeps the passes over a block at five. They run
+    in place on one buffer of about ``_CHUNK_CELLS`` cells (whole sample
+    rows), small enough to stay in cache between passes, so each block is
+    overwritten by the next.
+    """
+    half_points, half_sample = 0.5 * points, 0.5 * sample
     step = max(1, _CHUNK_CELLS // sample.size)
-    buf = np.empty((min(step, thetas.size), sample.size))
-    for lo in range(0, thetas.size, step):
-        hi = min(lo + step, thetas.size)
+    buf = np.empty((min(step, points.size), sample.size))
+    for lo in range(0, points.size, step):
+        hi = min(lo + step, points.size)
         block = buf[: hi - lo]
-        np.subtract(half_thetas[lo:hi, None], half_sample[None, :], out=block)
+        np.subtract(half_points[lo:hi, None], half_sample[None, :], out=block)
         np.sin(block, out=block)
         np.square(block, out=block)
         np.multiply(block, -2.0 * nu, out=block)
         np.exp(block, out=block)
-        out[lo:hi] = block.mean(axis=1)
-    return out / (TWO_PI * i0e(nu))
+        yield lo, hi, block
+
+
+def _harmonic_blocks(theta: np.ndarray, orders: int):
+    """Yield (lo, hi, cos(m theta), sin(m theta)) for m = lo..hi-1, ~``_CHUNK_CELLS`` cells each."""
+    step = max(1, _CHUNK_CELLS // theta.size)
+    for lo in range(0, orders, step):
+        hi = min(lo + step, orders)
+        angles = np.arange(lo, hi)[:, None] * theta[None, :]
+        yield lo, hi, np.cos(angles), np.sin(angles, out=angles)
 
 
 def oracle_mise_curve(samples, truth: DensityGrid, nus) -> np.ndarray:
@@ -168,7 +187,7 @@ def oracle_mise_curve(samples, truth: DensityGrid, nus) -> np.ndarray:
     mirrored = mirror < min(orders, g)
     out = np.empty((len(samples), nus.size))
     for i, sample in enumerate(samples):
-        phi = _trig_moments(sample, orders, half)
+        phi = _trig_moments(sample, orders)
         folded = np.zeros((nus.size, min(orders, g)), dtype=complex)
         for lo in range(0, orders, g):  # aliasing: orders m and m + G share a bin
             hi = min(lo + g, orders)
@@ -181,12 +200,10 @@ def oracle_mise_curve(samples, truth: DensityGrid, nus) -> np.ndarray:
     return out
 
 
-def _trig_moments(sample, orders: int, block: int) -> np.ndarray:
-    """phi_m = mean(exp(-i m Theta)) for m = 0..orders-1, ``block`` orders at a time."""
-    arr = wrap_angle(_as_sample(sample))
+def _trig_moments(sample, orders: int) -> np.ndarray:
+    """phi_m = mean(exp(-i m Theta)) for m = 0..orders-1."""
     out = np.empty(orders, dtype=complex)
-    for lo in range(0, orders, block):
-        angles = np.arange(lo, min(lo + block, orders))[:, None] * arr[None, :]
-        out[lo : lo + block].real = np.cos(angles).mean(axis=1)
-        out[lo : lo + block].imag = -np.sin(angles).mean(axis=1)
+    for lo, hi, cos, sin in _harmonic_blocks(wrap_angle(_as_sample(sample)), orders):
+        out[lo:hi].real = cos.mean(axis=1)
+        out[lo:hi].imag = -sin.mean(axis=1)
     return out

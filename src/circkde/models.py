@@ -219,14 +219,6 @@ class WrappedSkewNormal:
         return wrap_angle(self.xi + self.eta * z)
 
 
-@dataclass(frozen=True)
-class VonMisesComponent:
-    """One von Mises component of a mixture."""
-
-    mu: float
-    kappa: float
-
-
 class VonMisesMixture:
     """Finite mixture of von Mises densities.
 

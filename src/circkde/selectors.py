@@ -8,9 +8,10 @@ Three data-driven selectors, which ``simulate.select`` dispatches by name:
                       numerically. Falls back to the rule of thumb when no
                       valid reference mixture exists.
 * ``lcv``           - maximizes the leave-one-out log-likelihood, with the
-                      leave-one-out sums taken from the sample's
-                      trigonometric moments: O(K n) memory and time per
-                      nu, not O(n^2).
+                      leave-one-out sums taken from a table of cosine sums
+                      built on ``kde``'s harmonic blocks: O(K n) memory and
+                      time per nu, not O(n^2). Its guard rows use ``kde``'s
+                      kernel blocks.
 
 The simulation oracle's ISE curve is ``kde.oracle_mise_curve``.
 """
@@ -27,6 +28,7 @@ from .bessel import KAPPA_CAP, _kernel_coefficients, _order_count
 from .em import EmConfig, fit_single_von_mises, select_reference_mixture
 # Unused here, but perfbench/tracing.py wraps selectors.kde_grid and selectors.ise.
 from .kde import ise, kde_grid  # noqa: F401
+from .kde import _harmonic_blocks, _kernel_blocks
 from .models import TWO_PI, _as_sample, wrap_angle
 
 RT = "RT"
@@ -42,10 +44,6 @@ _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 # from a total of about 1 + sum, so an isolated point at large nu would
 # keep only the rounding noise of that subtraction.
 _DIRECT_BELOW = 1e-3
-
-# Cap on the cells of one block of LCV work: rows x observations for the
-# direct sum, orders x observations while building the moment table.
-_BLOCK_CELLS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -283,21 +281,13 @@ def lcv(sample, domain: NuSearchDomain | None = None) -> BandwidthResult:
 
 
 def _direct_sums(arr: np.ndarray, rows: np.ndarray, nu: float) -> np.ndarray:
-    """sum over j != i of exp(nu (cos(Theta_i - Theta_j) - 1)), for each i in rows.
-
-    The exponent is -2 nu sin^2(d / 2), as in ``kde._kernel_mean``: cos d - 1
-    would lose nu * 1e-16 of absolute accuracy at large nu.
-    """
-    half = 0.5 * arr
+    """sum over j != i of exp(nu (cos(Theta_i - Theta_j) - 1)), for each i in rows."""
     out = np.empty(rows.size)
-    step = max(1, _BLOCK_CELLS // arr.size)
-    for lo in range(0, rows.size, step):
-        idx = rows[lo : lo + step]
-        w = np.exp(np.sin(half[idx, None] - half[None, :]) ** 2 * (-2.0 * nu))
+    for lo, hi, block in _kernel_blocks(arr[rows], arr, nu):
         # Zero the self-term rather than subtracting it afterwards: the
         # subtraction would cancel any contribution below one ulp of 1.
-        w[np.arange(idx.size), idx] = 0.0
-        out[lo : lo + step] = w.sum(axis=1)
+        block[np.arange(hi - lo), rows[lo:hi]] = 0.0
+        out[lo:hi] = block.sum(axis=1)
     return out
 
 
@@ -305,17 +295,11 @@ def _cos_sum_table(arr: np.ndarray, orders: int) -> np.ndarray:
     """T[m, i] = a_m cos(m Theta_i) + b_m sin(m Theta_i), m = 0..orders-1.
 
     a_m and b_m are the sample's cosine and sine sums, so T[m, i] is
-    sum_j cos(m (Theta_i - Theta_j)). Built in blocks of orders, so that
-    besides T at most two blocks of about ``_BLOCK_CELLS`` cells are alive.
+    sum_j cos(m (Theta_i - Theta_j)). Built from ``kde._harmonic_blocks``,
+    so that besides T only one block of cosines and one of sines are alive.
     """
-    theta = wrap_angle(arr)
     table = np.empty((orders, arr.size))
-    step = max(1, _BLOCK_CELLS // arr.size)
-    for lo in range(0, orders, step):
-        hi = min(lo + step, orders)
-        angles = np.arange(lo, hi)[:, None] * theta[None, :]
-        cos = np.cos(angles)
-        sin = np.sin(angles, out=angles)
+    for lo, hi, cos, sin in _harmonic_blocks(wrap_angle(arr), orders):
         cos *= cos.sum(axis=1, keepdims=True)
         sin *= sin.sum(axis=1, keepdims=True)
         np.add(cos, sin, out=table[lo:hi])

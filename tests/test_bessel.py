@@ -142,6 +142,11 @@ class TestMeanResultantRatio:
         out = mean_resultant_ratio(np.array([0.0, 1.0, 2.0]))
         assert out.shape == (3,)
 
+    def test_negative_rejected(self):
+        for kappa in (-0.1, math.nan, np.array([1.0, math.nan])):
+            with pytest.raises(ValueError):
+                mean_resultant_ratio(kappa)
+
 
 class TestInverse:
     def test_zero(self):
@@ -157,8 +162,10 @@ class TestInverse:
         assert inverse_mean_resultant_ratio(1.0) == KAPPA_CAP
 
     def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            inverse_mean_resultant_ratio(-0.1)
+        # NaN fails every comparison, so it must not slip through as kappa = 0
+        for rbar in (-0.1, math.nan, np.array([0.5, math.nan])):
+            with pytest.raises(ValueError):
+                inverse_mean_resultant_ratio(rbar)
 
     def test_round_trip(self):
         for kappa in np.geomspace(0.01, 100.0, 60):

@@ -6,6 +6,7 @@ from scipy.special import i0e
 
 from conftest import series_bessel_i
 
+import circkde.kde as kmod
 from circkde.bessel import _kernel_coefficients
 from circkde.catalogue import get_model
 from circkde.kde import (
@@ -20,6 +21,7 @@ from circkde.kde import (
 )
 from circkde.models import TWO_PI, VonMises, VonMisesMixture, wrap_angle
 from circkde.rng import make_rng
+from circkde.selectors import _cos_sum_table, _direct_sums
 
 
 @pytest.fixture(scope="module")
@@ -114,8 +116,6 @@ class TestGrid:
         fit = KdeFit(sample, 8.0)
         d = 0.5 * grid_thetas(256)[:, None] - 0.5 * fit.sample[None, :]
         direct = np.exp(np.sin(d) ** 2 * (-2.0 * fit.nu)).mean(axis=1) / (TWO_PI * i0e(fit.nu))
-        import circkde.kde as kmod
-
         old = kmod._CHUNK_CELLS
         try:
             kmod._CHUNK_CELLS = 4096
@@ -139,6 +139,44 @@ class TestGrid:
         kept = ref > 1e-100
         assert kept.sum() >= 32
         np.testing.assert_allclose(got[kept], ref[kept].astype(float), rtol=1e-13, atol=0)
+
+
+class TestBlocks:
+    """Each reduction over kde's block generators against one whole-matrix expression.
+
+    ``_CHUNK_CELLS`` is patched to 1000 cells, so that n = 250 runs in blocks
+    of 4 rows and the last block is partial.
+    """
+
+    @pytest.fixture
+    def small_blocks(self, monkeypatch):
+        monkeypatch.setattr(kmod, "_CHUNK_CELLS", 1000)
+        return get_model("M12").sample(250, make_rng(3, 12))
+
+    def test_trig_moments(self, small_blocks):
+        orders = 30
+        assert len(list(kmod._harmonic_blocks(small_blocks, orders))) == 8
+        angles = np.arange(orders)[:, None] * wrap_angle(small_blocks)[None, :]
+        got = kmod._trig_moments(small_blocks, orders)
+        np.testing.assert_array_equal(got.real, np.cos(angles).mean(axis=1))
+        np.testing.assert_array_equal(got.imag, -np.sin(angles).mean(axis=1))
+
+    def test_cos_sum_table(self, small_blocks):
+        orders = 30
+        angles = np.arange(orders)[:, None] * wrap_angle(small_blocks)[None, :]
+        cos, sin = np.cos(angles), np.sin(angles)
+        ref = cos * cos.sum(axis=1, keepdims=True) + sin * sin.sum(axis=1, keepdims=True)
+        np.testing.assert_array_equal(_cos_sum_table(small_blocks, orders), ref)
+
+    @pytest.mark.parametrize("nu", [8.0, 1e3])
+    def test_direct_sums(self, small_blocks, nu):
+        # descending and strided, so block k's rows are not rows k*4 .. k*4+3
+        rows = np.arange(3, small_blocks.size, 7)[::-1]
+        assert len(list(kmod._kernel_blocks(small_blocks[rows], small_blocks, nu))) == 9
+        d = 0.5 * small_blocks[rows, None] - 0.5 * small_blocks[None, :]
+        w = np.exp(np.sin(d) ** 2 * (-2.0 * nu))
+        ref = np.where(rows[:, None] == np.arange(small_blocks.size), 0.0, w).sum(axis=1)
+        np.testing.assert_array_equal(_direct_sums(small_blocks, rows, nu), ref)
 
 
 class TestIse:
