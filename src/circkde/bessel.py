@@ -44,7 +44,7 @@ def bessel_i(r: int, x: float) -> float:
     the scaled exp(-x) I_r(x) (``scipy.special.ive``) is finite.
     """
     _check_order(r)
-    if x < 0:
+    if not x >= 0:  # also catches NaN
         raise ValueError(f"x must be non-negative, got {x}")
     if x > OVERFLOW_THRESHOLD:
         raise OverflowError(
@@ -57,12 +57,13 @@ def mean_resultant_ratio(kappa):
     """A(kappa) = I_1(kappa) / I_0(kappa), the von Mises mean resultant length.
 
     Accepts scalars or arrays; strictly increasing from 0 (kappa = 0)
-    toward 1.
+    toward its limit A(inf) = 1, which infinite kappa returns.
     """
     k = np.asarray(kappa, dtype=float)
     if not (k >= 0).all():  # also catches NaN
         raise ValueError("kappa must be non-negative")
-    out = i1e(k) / i0e(k)
+    # i1e and i0e both vanish at infinity; skip that 0 / 0.
+    out = np.divide(i1e(k), i0e(k), out=np.ones_like(k), where=k < np.inf)
     return float(out) if np.isscalar(kappa) or k.ndim == 0 else out
 
 

@@ -179,6 +179,8 @@ def cmd_fit(args) -> int:
             entry["objective"] = res.objective
         if res.fallback:
             entry["fallback_reason"] = res.diagnostics.get("fallback_reason")
+        if "em" in res.diagnostics:
+            entry["em"] = {str(k): [n, ok] for k, (n, ok) in sorted(res.diagnostics["em"].items())}
         report["selectors"][name] = entry
 
     counts, edges = np.histogram(sample, bins=args.rose_bins, range=(0.0, TWO_PI))

@@ -193,11 +193,14 @@ def _circ_dist(a: np.ndarray, b: float) -> np.ndarray:
 
 
 def _run_em_restarts(x: np.ndarray, mus0: np.ndarray, cfg: EmConfig) -> MixtureFit:
-    """All restarts advanced in lockstep; each stops at its own convergence.
+    """All running restarts advanced in lockstep; each stops at its own convergence.
 
-    Parameter tensors have shape (restarts, M); the E-step works on
-    (restarts, M, n). A restart's parameters freeze once its relative
-    log-likelihood change drops below tolerance, which reproduces the
+    Working parameter tensors have shape (running restarts, M); the E-step
+    works on (running restarts, M, n). When a restart's relative
+    log-likelihood change drops below tolerance, its parameters, iteration
+    count and convergence flag are written to the output arrays once and its
+    row leaves the working arrays, so no step is spent on it afterwards.
+    Each step acts on every restart's row alone, which reproduces the
     per-restart sequential behaviour exactly.
     """
     n = x.shape[1]
@@ -205,28 +208,33 @@ def _run_em_restarts(x: np.ndarray, mus0: np.ndarray, cfg: EmConfig) -> MixtureF
     alpha = np.full((nr, m), 1.0 / m)
     mus = mus0.copy()
     kappas = np.ones((nr, m))
+    final = np.empty((3, nr, m))  # alpha, mus, kappas as each restart stopped
+    n_iters = np.full(nr, cfg.max_iter)
+    converged = np.zeros(nr, dtype=bool)
+    run = np.arange(nr)  # the restart behind each working row
     ll_prev = np.full(nr, -math.inf)
-    active = np.ones(nr, dtype=bool)
-    n_iters = np.zeros(nr, dtype=int)
-    # Row it - 1 holds iteration it's log-likelihoods; restart r is active
-    # for iterations 1..n_iters[r], so its trace is a prefix of its column.
+    # Row it - 1 holds iteration it's log-likelihoods; restart r runs
+    # iterations 1..n_iters[r], so its trace is a prefix of its column.
     ll_hist = np.empty((cfg.max_iter, nr))
     for it in range(1, cfg.max_iter + 1):
         resp, ll = _batch_e_step(x, alpha, mus, kappas)
-        new_alpha, new_mus, new_kappas = _batch_m_step(x, resp)
-        keep = active[:, None]
-        np.copyto(alpha, new_alpha, where=keep)
-        np.copyto(mus, new_mus, where=keep)
-        np.copyto(kappas, new_kappas, where=keep)
+        alpha, mus, kappas = _batch_m_step(x, resp)
+        ll_hist[it - 1, run] = ll
         done = (ll_prev > -math.inf) & (
             np.abs(ll - ll_prev) <= cfg.rel_tol * np.maximum(np.abs(ll_prev), 1.0)
         )
-        ll_hist[it - 1] = ll
-        n_iters[active] = it
-        ll_prev = np.where(active, ll, ll_prev)
-        active &= ~done
-        if not active.any():
-            break
+        if done.any():
+            stop = run[done]
+            final[:, stop] = alpha[done], mus[done], kappas[done]
+            n_iters[stop] = it
+            converged[stop] = True
+            keep = ~done
+            run, alpha, mus, kappas, ll = run[keep], alpha[keep], mus[keep], kappas[keep], ll[keep]
+            if not run.size:
+                break
+        ll_prev = ll
+    final[:, run] = alpha, mus, kappas  # restarts that reached max_iter
+    alpha, mus, kappas = final
     _, ll_final = _batch_e_step(x, alpha, mus, kappas)
     best = int(np.argmax(ll_final))
     trace = tuple(ll_hist[: n_iters[best], best].tolist()) + (float(ll_final[best]),)
@@ -237,7 +245,7 @@ def _run_em_restarts(x: np.ndarray, mus0: np.ndarray, cfg: EmConfig) -> MixtureF
     return _finalize(
         mix,
         float(ll_final[best]),
-        converged=bool(~active[best]),
+        converged=bool(converged[best]),
         n_iter=int(n_iters[best]),
         trace=trace,
         n=n,

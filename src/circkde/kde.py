@@ -7,11 +7,14 @@ kernel sums of the density grid and of LCV's guard rows.
 estimator's Fourier coefficients are phi_m rho_m(nu), with
 phi_m = mean(exp(-i m Theta)) and rho_m(nu) = I_m(nu) / I_0(nu) the
 kernel's characteristic function (Mardia & Jupp 2000, Directional
-Statistics, sec. 3.5). From them ``oracle_mise_curve`` gives the oracle's
-ISE curve, and ``selectors.lcv`` the estimator at its own sample points
-(a K x n table, not an n x n kernel matrix). Both keep the K orders
-``bessel._order_count`` retains; rho_m and its truncation belong to
-``bessel``.
+Statistics, sec. 3.5). From them ``kde_grid`` gets the density grid by
+one inverse FFT (``_folded_spectrum`` folds the coefficients onto the
+grid's DFT bins), ``oracle_mise_curve`` the oracle's ISE curve, and
+``selectors.lcv`` the estimator at its own sample points (a K x n table,
+not an n x n kernel matrix). All keep the K orders ``bessel._order_count``
+retains; rho_m and its truncation belong to ``bessel``. ``kde_evaluate``
+and the grid cells the spectrum cannot resolve to 1e-12 relative stay
+with the direct kernel sums.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import i0e
 
-from .bessel import KAPPA_CAP, _kernel_coefficients
+from .bessel import KAPPA_CAP, _kernel_coefficients, _order_count
 from .models import TWO_PI, _as_sample, wrap_angle
 
 # Large enough for 1e-8 quadrature agreement on every density in the study.
@@ -29,6 +32,15 @@ DEFAULT_GRIDSIZE = 1024
 
 # Cells one block of either blocked evaluation holds: 512 KiB of float64.
 _CHUNK_CELLS = 1 << 16
+
+# kde_grid sums kernels directly when K * _SPECTRAL_ORDERS > G: there the
+# K x n harmonic blocks cost about as much as the G x n kernel blocks.
+_SPECTRAL_ORDERS = 4
+
+# Spectral grid cells below this fraction of a kernel's peak, 1 / (2 pi
+# i0e(nu)), are summed directly: the inverse FFT's error is a few 1e-16 of
+# that peak, so cells above it keep 1e-12 relative accuracy.
+_GUARD = 1e-3
 
 
 @dataclass(frozen=True)
@@ -98,10 +110,30 @@ def kde_evaluate(fit: KdeFit, theta):
 
 
 def kde_grid(fit: KdeFit, gridsize: int = DEFAULT_GRIDSIZE) -> DensityGrid:
-    """The estimator evaluated at every grid node."""
+    """The estimator evaluated at every grid node, within 1e-12 relative of the direct sums.
+
+    With K = ``bessel._order_count(nu)`` orders and G = ``gridsize``, the
+    grid is f(theta_j) = (1 / 2 pi) sum_m rho_|m|(nu) phi_m exp(i m theta_j),
+    from the sample's moments phi_m (``_trig_moments``) and one inverse FFT
+    of length G: O(K n + G log G) instead of G n kernel values. The FFT's
+    error is absolute, a few 1e-16 of a kernel's peak, so every cell below
+    ``_GUARD`` times that peak is recomputed by the direct ``_kernel_mean``;
+    no cell is negative, and tails keep the direct sums' relative accuracy.
+    When 4 K > G (nu above about 800 at G = 1024) the spectrum costs more
+    than the G x n kernel values and the whole grid is summed directly.
+    """
     if gridsize < 8:
         raise ValueError(f"gridsize must be >= 8, got {gridsize}")
-    return DensityGrid(_kernel_mean(grid_thetas(gridsize), fit.sample, fit.nu))
+    thetas = grid_thetas(gridsize)
+    orders = _order_count(fit.nu)
+    if _SPECTRAL_ORDERS * orders > gridsize:
+        return DensityGrid(_kernel_mean(thetas, fit.sample, fit.nu))
+    rho = _kernel_coefficients(np.array([fit.nu]), orders)
+    spectrum = _folded_spectrum(rho, _trig_moments(fit.sample, orders), gridsize)[0]
+    values = np.fft.irfft(spectrum, gridsize) * (gridsize / TWO_PI)
+    low = np.flatnonzero(values < _GUARD / (TWO_PI * i0e(fit.nu)))
+    values[low] = _kernel_mean(thetas[low], fit.sample, fit.nu)
+    return DensityGrid(values)
 
 
 def ise(a: DensityGrid, b: DensityGrid) -> float:
@@ -172,32 +204,41 @@ def oracle_mise_curve(samples, truth: DensityGrid, nus) -> np.ndarray:
     g = truth.gridsize
     half = g // 2
     rho = _kernel_coefficients(nus)
-    orders = rho.shape[1]
     # Spectral bins the retained orders can reach; truth terms beyond them
     # enter the ISE as a constant tail.
-    bins = min(orders, half + 1)
+    bins = min(rho.shape[1], half + 1)
     gamma = np.fft.rfft(truth.values) * (TWO_PI / g)
     weights = np.full(half + 1, 2.0)
     weights[[0, half]] = 1.0
     power = weights * np.abs(gamma) ** 2
     tail = power[bins:].sum()
     gamma, weights = gamma[:bins], weights[:bins]
+    out = np.empty((len(samples), nus.size))
+    for i, sample in enumerate(samples):
+        diff = _folded_spectrum(rho, _trig_moments(sample, rho.shape[1]), g) - gamma
+        out[i] = ((diff.real**2 + diff.imag**2) @ weights + tail) / TWO_PI
+    return out
+
+
+def _folded_spectrum(rho: np.ndarray, phi: np.ndarray, g: int) -> np.ndarray:
+    """Bins 0..min(K, G/2 + 1) - 1 of the G-point DFT of the estimator's grid, per nu.
+
+    F_k = sum over m = k (mod G) of rho_|m| phi_m, with phi_-m = conj phi_m;
+    ``rho`` has shape (nus, K) and ``phi`` holds the K moments.
+    """
+    orders = rho.shape[1]
+    bins = min(orders, g // 2 + 1)
     # Order m >= 0 lands on bin m mod G; order -m on bin (G - m mod G) mod G.
     mirror = (g - np.arange(bins)) % g
     mirrored = mirror < min(orders, g)
-    out = np.empty((len(samples), nus.size))
-    for i, sample in enumerate(samples):
-        phi = _trig_moments(sample, orders)
-        folded = np.zeros((nus.size, min(orders, g)), dtype=complex)
-        for lo in range(0, orders, g):  # aliasing: orders m and m + G share a bin
-            hi = min(lo + g, orders)
-            folded[:, : hi - lo] += rho[:, lo:hi] * phi[lo:hi]
-        spectrum = folded[:, :bins]
-        spectrum[:, mirrored] += folded[:, mirror[mirrored]].conj()
-        spectrum[:, 0] -= rho[:, 0] * phi[0]  # order 0 was counted twice
-        diff = spectrum - gamma
-        out[i] = ((diff.real**2 + diff.imag**2) @ weights + tail) / TWO_PI
-    return out
+    folded = np.zeros((rho.shape[0], min(orders, g)), dtype=complex)
+    for lo in range(0, orders, g):  # aliasing: orders m and m + G share a bin
+        hi = min(lo + g, orders)
+        folded[:, : hi - lo] += rho[:, lo:hi] * phi[lo:hi]
+    spectrum = folded[:, :bins]
+    spectrum[:, mirrored] += folded[:, mirror[mirrored]].conj()
+    spectrum[:, 0] -= rho[:, 0] * phi[0]  # order 0 was counted twice
+    return spectrum
 
 
 def _trig_moments(sample, orders: int) -> np.ndarray:

@@ -46,6 +46,11 @@ class TestBesselI:
         with pytest.raises(OverflowError):
             bessel_i(0, OVERFLOW_THRESHOLD + 10.0)
 
+    def test_nan_rejected(self):
+        # NaN fails every comparison, so it must not slip through as I_r(NaN) = NaN
+        with pytest.raises(ValueError):
+            bessel_i(0, math.nan)
+
     def test_invalid_args(self):
         with pytest.raises(ValueError):
             bessel_i(-1, 1.0)
@@ -141,6 +146,13 @@ class TestMeanResultantRatio:
     def test_vectorized(self):
         out = mean_resultant_ratio(np.array([0.0, 1.0, 2.0]))
         assert out.shape == (3,)
+
+    def test_infinite_kappa_is_one(self):
+        # i1e and i0e both vanish at infinity; A(inf) is the limit 1, with no warning
+        assert mean_resultant_ratio(math.inf) == 1.0
+        np.testing.assert_array_equal(
+            mean_resultant_ratio(np.array([1.0, math.inf])), [mean_resultant_ratio(1.0), 1.0]
+        )
 
     def test_negative_rejected(self):
         for kappa in (-0.1, math.nan, np.array([1.0, math.nan])):

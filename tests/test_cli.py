@@ -176,6 +176,19 @@ class TestFitCommand:
         for name in (RT, PI, LCV):
             assert report["selectors"][name]["nu"] == select(name, sample, em).nu
 
+    def test_report_pi_em_convergence(self, tmp_path):
+        f = tmp_path / "m7.txt"
+        run_cli("sample", "M7", "200", "--seed", "8", "--output", str(f))
+        out = tmp_path / "fit"
+        assert run_cli("fit", str(f), "--seed", "3", "--output-dir", str(out)) == 0
+        report = json.loads((out / "fit_report.json").read_text())
+        res = select(PI, read_angle_file(str(f)), EmConfig(seed=derive_seed(3, 11)))
+        em = report["selectors"][PI]["em"]
+        assert sorted(em) == ["2", "3", "4", "5"]
+        assert em == {str(m): [n_iter, ok] for m, (n_iter, ok) in res.diagnostics["em"].items()}
+        assert all(isinstance(n_iter, int) and isinstance(ok, bool) for n_iter, ok in em.values())
+        assert "em" not in report["selectors"][RT] and "em" not in report["selectors"][LCV]
+
     def test_unit_round_trip_bandwidths(self, tmp_path):
         rad, deg = tmp_path / "r.txt", tmp_path / "d.txt"
         run_cli("sample", "M2", "100", "--seed", "4", "--output", str(rad))

@@ -12,6 +12,8 @@ from circkde.catalogue import get_model
 from circkde.em import (
     EmConfig,
     _initial_centers,
+    _run_em_restarts,
+    _unit_vectors,
     aic_value,
     em_fit,
     fit_single_von_mises,
@@ -194,6 +196,30 @@ class TestEmFit:
         fits = [em_fit(m7_500, 2, EmConfig(seed=seed)) for seed in range(6)]
         for fit in fits[1:]:
             np.testing.assert_allclose(fit.mixture.mus, fits[0].mixture.mus, atol=1e-3)
+
+
+class TestRestarts:
+    def test_each_restart_as_if_alone(self):
+        # Eight restarts of one M = 4 fit: seven converge at iterations 34-39,
+        # one stops at max_iter.
+        x = get_model("M20").sample(250, make_rng(42, 20, 250))
+        mus0 = np.stack([_initial_centers(x, 4, make_rng(0, 4, r)) for r in range(8)])
+        u, cfg = _unit_vectors(x), EmConfig(max_iter=60)
+        alone = [_run_em_restarts(u, mus0[[r]], cfg) for r in range(8)]
+        assert len({f.n_iter for f in alone}) >= 5
+        assert sorted(f.converged for f in alone) == [False] + [True] * 7
+        lls = [f.log_likelihood for f in alone]
+        assert len(set(lls)) == 8
+        for r, solo in enumerate(alone):
+            ll, n_iter, converged = reference_em(x, mus0[r], cfg)
+            assert (solo.n_iter, solo.converged) == (n_iter, converged)
+            assert solo.log_likelihood == pytest.approx(ll, rel=1e-9)
+            # r wins a batch of itself and every restart it beats
+            fit = _run_em_restarts(u, mus0[[q for q in range(8) if lls[q] <= lls[r]]], cfg)
+            for field in ("weights", "mus", "kappas"):
+                np.testing.assert_array_equal(getattr(fit.mixture, field), getattr(solo.mixture, field))
+            assert (fit.log_likelihood, fit.n_iter, fit.converged) == (solo.log_likelihood, solo.n_iter, solo.converged)
+            assert fit.ll_trace == solo.ll_trace and len(fit.ll_trace) == solo.n_iter + 1
 
 
 class TestAic:

@@ -7,7 +7,7 @@ from scipy.special import i0e
 from conftest import series_bessel_i
 
 import circkde.kde as kmod
-from circkde.bessel import _kernel_coefficients
+from circkde.bessel import _kernel_coefficients, _order_count
 from circkde.catalogue import get_model
 from circkde.kde import (
     DensityGrid,
@@ -90,9 +90,10 @@ class TestGrid:
         np.testing.assert_allclose(grid.values, 1.0 / TWO_PI, rtol=1e-14)
 
     def test_matches_pointwise(self, m2_sample):
+        # the grid comes from the spectrum (see TestSpectralGrid), evaluation is direct
         fit = KdeFit(m2_sample, 3.0)
         grid = kde_grid(fit, 128)
-        np.testing.assert_array_equal(grid.values, kde_evaluate(fit, grid.thetas))
+        np.testing.assert_allclose(grid.values, kde_evaluate(fit, grid.thetas), rtol=1e-12, atol=0)
 
     def test_integral_close_to_one(self, m2_sample):
         grid = kde_grid(KdeFit(m2_sample, 3.0), 1024)
@@ -109,21 +110,17 @@ class TestGrid:
         with pytest.raises(ValueError):
             DensityGrid(np.ones(100))  # not a power of two
 
-    def test_chunked_matches_direct(self):
+    def test_chunked_matches_direct(self, monkeypatch):
         # The in-place passes over blocks of rows give the same bits as the
         # whole G x n kernel matrix built in one expression, at any block size.
         sample = get_model("M7").sample(600, make_rng(2, 7))
         fit = KdeFit(sample, 8.0)
-        d = 0.5 * grid_thetas(256)[:, None] - 0.5 * fit.sample[None, :]
+        thetas = grid_thetas(256)
+        d = 0.5 * thetas[:, None] - 0.5 * fit.sample[None, :]
         direct = np.exp(np.sin(d) ** 2 * (-2.0 * fit.nu)).mean(axis=1) / (TWO_PI * i0e(fit.nu))
-        old = kmod._CHUNK_CELLS
-        try:
-            kmod._CHUNK_CELLS = 4096
-            chunked = kde_grid(fit, 256)
-        finally:
-            kmod._CHUNK_CELLS = old
-        np.testing.assert_array_equal(chunked.values, direct)
-        np.testing.assert_array_equal(kde_grid(fit, 256).values, direct)
+        np.testing.assert_array_equal(kmod._kernel_mean(thetas, fit.sample, fit.nu), direct)
+        monkeypatch.setattr(kmod, "_CHUNK_CELLS", 4096)
+        np.testing.assert_array_equal(kmod._kernel_mean(thetas, fit.sample, fit.nu), direct)
 
     def test_large_nu_matches_longdouble(self):
         # exp(nu (cos d - 1)) loses nu * 1e-16 in the exponent to cancellation;
@@ -139,6 +136,75 @@ class TestGrid:
         kept = ref > 1e-100
         assert kept.sum() >= 32
         np.testing.assert_allclose(got[kept], ref[kept].astype(float), rtol=1e-13, atol=0)
+
+
+CONTRACT_NUS = np.logspace(-3, 5, 25)
+CONTRACT_SIZES = (64, 1024, 4096)
+
+
+def kernel_means(sample, nus, rows=256):
+    """``_kernel_mean`` on the 4096-node grid for every nu, sharing sin^2 across nu.
+
+    The rows of the 1024- and 64-node grids are every 4th and 64th row:
+    their nodes are the same floats. Per row and nu the passes are the
+    ones ``_kernel_blocks`` makes, so the bits are the same.
+    """
+    g = CONTRACT_SIZES[-1]
+    half_thetas, half_sample = 0.5 * grid_thetas(g), 0.5 * sample
+    out = np.empty((nus.size, g))
+    for lo in range(0, g, rows):
+        sin2 = np.sin(half_thetas[lo : lo + rows, None] - half_sample[None, :]) ** 2
+        for j, nu in enumerate(nus):
+            out[j, lo : lo + rows] = np.exp(sin2 * (-2.0 * nu)).mean(axis=1)
+    return out / (TWO_PI * i0e(nus))[:, None]
+
+
+class TestSpectralGrid:
+    """``kde_grid`` from the spectrum: within 1e-12 of ``_kernel_mean`` on every cell."""
+
+    @pytest.mark.parametrize("mid", [f"M{i}" for i in range(1, 21)])
+    def test_matches_kernel_mean(self, mid):
+        paths = set()
+        for n in (50, 250, 2000):
+            fit = KdeFit(get_model(mid).sample(n, make_rng(3, int(mid[1:]), n)), 1.0)
+            ref = kernel_means(fit.sample, CONTRACT_NUS)
+            some = grid_thetas(4096)[::97]
+            for j in (0, 12, 24):  # the reference is _kernel_mean, bit for bit
+                np.testing.assert_array_equal(
+                    ref[j, ::97], kmod._kernel_mean(some, fit.sample, CONTRACT_NUS[j])
+                )
+            for nu, row in zip(CONTRACT_NUS, ref):
+                orders = _order_count(nu)
+                for g in CONTRACT_SIZES:
+                    paths.add(kmod._SPECTRAL_ORDERS * orders <= g)
+                    got = kde_grid(KdeFit(fit.sample, nu), g).values
+                    want = row[:: 4096 // g]
+                    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0, err_msg=f"n={n} nu={nu} G={g}")
+        assert paths == {True, False}  # both sides of the spectral/direct rule
+
+    def test_guard_cells_are_direct(self):
+        # A tight cluster of 2000 points and three isolated ones: near an isolated
+        # point the estimator is about peak / n, below the guard, and far from
+        # every point it is so small that the inverse FFT's rounding goes negative.
+        rng = make_rng(4, 1)
+        sample = np.concatenate(
+            [VonMises(mu=1.0, kappa=400.0).sample(2000, rng), [3.0, 3.6, 5.0]]
+        )
+        nu, g = 300.0, 1024
+        assert kmod._SPECTRAL_ORDERS * _order_count(nu) <= g
+        fit = KdeFit(sample, nu)
+        got = kde_grid(fit, g).values
+        ref = kmod._kernel_mean(grid_thetas(g), fit.sample, nu)
+        rho = _kernel_coefficients(np.array([nu]), _order_count(nu))
+        phi = kmod._trig_moments(fit.sample, rho.shape[1])
+        unguarded = np.fft.irfft(kmod._folded_spectrum(rho, phi, g)[0], g) * (g / TWO_PI)
+        guard = kmod._GUARD / (TWO_PI * i0e(nu))
+        guarded = unguarded < guard
+        assert (unguarded < 0).any()
+        assert ((ref > 1e-10) & guarded).sum() >= 10  # near the isolated points
+        np.testing.assert_array_equal(got[guarded], ref[guarded])
+        assert (got >= 0).all()
+        assert guarded.sum() < g - 10 and (got[~guarded] >= guard).all()
 
 
 class TestBlocks:
