@@ -296,7 +296,8 @@ def _cos_sum_table(arr: np.ndarray, orders: int) -> np.ndarray:
 
     a_m and b_m are the sample's cosine and sine sums, so T[m, i] is
     sum_j cos(m (Theta_i - Theta_j)). Built from ``kde._harmonic_blocks``,
-    so that besides T only one block of cosines and one of sines are alive.
+    so that besides T only its two small tables (2 (B + Q) n floats,
+    B + Q about 2 sqrt(K)) and one block of cosines and of sines are alive.
     """
     table = np.empty((orders, arr.size))
     for lo, hi, cos, sin in _harmonic_blocks(wrap_angle(arr), orders):

@@ -91,6 +91,9 @@ class CellResult:
     mean_selected_m: float | None = None
     oracle_nu: float | None = None
     errors: int = 0
+    # The first failing replicate: its replay key (model, n, replicate,
+    # em_seed) and the exception's message.
+    first_error: dict | None = None
 
 
 @dataclass(frozen=True)
@@ -220,7 +223,7 @@ def _replicate_outcome(task) -> dict:
                 "selected_m": res.selected_m,
             }
         except Exception as exc:
-            out[selector] = {"error": repr(exc)}
+            out[selector] = {"error": f"{type(exc).__name__}: {exc}", "em_seed": em_seed}
     return out
 
 
@@ -244,6 +247,15 @@ def _aggregate_cell(model_id, n, selector, outcomes) -> CellResult:
         fallback_count=fallbacks,
         mean_selected_m=float(np.mean(selected)) if selected else None,
         errors=errors,
+        first_error=next(
+            (
+                {"model": model_id, "n": n, "replicate": rep,
+                 "em_seed": o[selector]["em_seed"], "message": o[selector]["error"]}
+                for rep, o in enumerate(outcomes)
+                if "error" in o[selector]
+            ),
+            None,
+        ),
     )
 
 
@@ -296,6 +308,7 @@ class CellComparison:
     z_score: float | None
     passed: bool | None  # None: no reference cell available
     incomplete: str | None = None  # why the cell fails whatever its window says
+    first_error: dict | None = None  # CellResult.first_error
 
     def describe(self) -> str:
         if self.passed is None:
@@ -303,11 +316,18 @@ class CellComparison:
         verdict = "pass" if self.passed else "FAIL"
         if self.incomplete:
             verdict += f" ({self.incomplete})"
-        return (
+        line = (
             f"{self.model} n={self.n} {self.selector}: {verdict} "
             f"observed={self.observed_x100:.4f} reference={self.reference_x100:.4f} "
             f"window=+/-{self.window:.4f} z={self.z_score:.2f}"
         )
+        if self.first_error and not self.passed:
+            e = self.first_error
+            line += (
+                f"; first error at model={e['model']} n={e['n']} replicate={e['replicate']} "
+                f"em_seed={e['em_seed']}: {e['message']}"
+            )
+        return line
 
 
 def load_reference_table() -> dict[tuple[str, int, str], ReferenceCell]:
@@ -366,6 +386,7 @@ def compare_to_reference(
                 z_score=float(z),
                 passed=bool(abs(diff) <= window) and not lost,
                 incomplete="; ".join(lost) or None,
+                first_error=cell.first_error,
             )
         )
     return out

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -207,11 +208,46 @@ class TestSpectralGrid:
         assert guarded.sum() < g - 10 and (got[~guarded] >= guard).all()
 
 
+def longdouble_harmonics(theta, lo, hi):
+    """cos and sin(m theta) for m = lo..hi-1, with m theta and both functions in long double."""
+    angles = np.arange(lo, hi, dtype=np.longdouble)[:, None] * wrap_angle(theta).astype(np.longdouble)
+    return np.cos(angles), np.sin(angles)
+
+
+def longdouble_moments(theta, orders, rows=32):
+    """``_trig_moments`` in long double, ``rows`` orders at a time."""
+    out = np.empty(orders, dtype=complex)
+    for lo in range(0, orders, rows):
+        hi = min(lo + rows, orders)
+        cos, sin = longdouble_harmonics(theta, lo, hi)
+        out.real[lo:hi] = cos.mean(axis=1)
+        out.imag[lo:hi] = -sin.mean(axis=1)
+    return out
+
+
+def longdouble_cos_sum_table(theta, orders):
+    """``selectors._cos_sum_table`` in long double."""
+    cos, sin = longdouble_harmonics(theta, 0, orders)
+    return (cos * cos.sum(axis=1, keepdims=True) + sin * sin.sum(axis=1, keepdims=True)).astype(float)
+
+
+def harmonic_bound(orders):
+    """Absolute error allowed in cos and sin(m theta), m < orders, 0 <= theta < 2 pi.
+
+    Rounding m theta to float64 moves it by up to pi m eps, so the direct
+    np.cos(m * theta) cannot do better; angle addition from the two tables
+    adds a few eps to that.
+    """
+    return (np.pi * orders + 4) * np.finfo(float).eps
+
+
 class TestBlocks:
-    """Each reduction over kde's block generators against one whole-matrix expression.
+    """Each reduction over kde's block generators, in blocks, against a whole-matrix reference.
 
     ``_CHUNK_CELLS`` is patched to 1000 cells, so that n = 250 runs in blocks
-    of 4 rows and the last block is partial.
+    of 4 rows and the last block is partial. With 30 orders the tables hold
+    B = 6 low and Q = 5 high orders, so blocks cross from one high order to
+    the next, and ``_trig_moments`` sums 8 blocks of 33 observations.
     """
 
     @pytest.fixture
@@ -219,20 +255,30 @@ class TestBlocks:
         monkeypatch.setattr(kmod, "_CHUNK_CELLS", 1000)
         return get_model("M12").sample(250, make_rng(3, 12))
 
+    def test_harmonic_blocks(self, small_blocks):
+        orders = 30
+        cos, sin = longdouble_harmonics(small_blocks, 0, orders)
+        spans = []
+        for lo, hi, cos_block, sin_block in kmod._harmonic_blocks(wrap_angle(small_blocks), orders):
+            spans.append((lo, hi))
+            np.testing.assert_allclose(cos_block, cos[lo:hi].astype(float), rtol=0, atol=harmonic_bound(orders))
+            np.testing.assert_allclose(sin_block, sin[lo:hi].astype(float), rtol=0, atol=harmonic_bound(orders))
+        assert spans == [(lo, min(lo + 4, orders)) for lo in range(0, orders, 4)]
+
     def test_trig_moments(self, small_blocks):
         orders = 30
-        assert len(list(kmod._harmonic_blocks(small_blocks, orders))) == 8
-        angles = np.arange(orders)[:, None] * wrap_angle(small_blocks)[None, :]
         got = kmod._trig_moments(small_blocks, orders)
-        np.testing.assert_array_equal(got.real, np.cos(angles).mean(axis=1))
-        np.testing.assert_array_equal(got.imag, -np.sin(angles).mean(axis=1))
+        np.testing.assert_allclose(got, longdouble_moments(small_blocks, orders), rtol=0, atol=harmonic_bound(orders))
+        assert got[0] == 1.0
 
     def test_cos_sum_table(self, small_blocks):
-        orders = 30
-        angles = np.arange(orders)[:, None] * wrap_angle(small_blocks)[None, :]
-        cos, sin = np.cos(angles), np.sin(angles)
-        ref = cos * cos.sum(axis=1, keepdims=True) + sin * sin.sum(axis=1, keepdims=True)
-        np.testing.assert_array_equal(_cos_sum_table(small_blocks, orders), ref)
+        # T[m, i] = sum_j cos(m Theta_i) cos(m Theta_j) + sin(m Theta_i) sin(m Theta_j):
+        # 2 n products of harmonics, each within the harmonic bound.
+        orders, n = 30, small_blocks.size
+        np.testing.assert_allclose(
+            _cos_sum_table(small_blocks, orders), longdouble_cos_sum_table(small_blocks, orders),
+            rtol=0, atol=2 * n * harmonic_bound(orders),
+        )
 
     @pytest.mark.parametrize("nu", [8.0, 1e3])
     def test_direct_sums(self, small_blocks, nu):
@@ -243,6 +289,37 @@ class TestBlocks:
         w = np.exp(np.sin(d) ** 2 * (-2.0 * nu))
         ref = np.where(rows[:, None] == np.arange(small_blocks.size), 0.0, w).sum(axis=1)
         np.testing.assert_array_equal(_direct_sums(small_blocks, rows, nu), ref)
+
+
+class TestTrigTables:
+    """The moments and LCV's table at the largest orders and samples, with default blocks."""
+
+    @pytest.mark.parametrize("orders,n", [(2799, 50), (2799, 100), (281, 20000)])
+    def test_trig_moments(self, orders, n):
+        # K = 2799 is _order_count(KAPPA_CAP); 281 is LCV's K at n = 100,000.
+        theta = get_model("M16").sample(n, make_rng(6, 16, n))
+        got = kmod._trig_moments(theta, orders)
+        np.testing.assert_allclose(got, longdouble_moments(theta, orders), rtol=0, atol=harmonic_bound(orders))
+
+    @pytest.mark.parametrize("orders,n", [(2799, 50), (2799, 100)])
+    def test_cos_sum_table(self, orders, n):
+        theta = get_model("M16").sample(n, make_rng(6, 16, n))
+        np.testing.assert_allclose(
+            _cos_sum_table(theta, orders), longdouble_cos_sum_table(theta, orders),
+            rtol=0, atol=2 * n * harmonic_bound(orders),
+        )
+
+    def test_trig_moments_memory(self):
+        # Unblocked, the two tables would take 2 (B + Q) n floats (54 MB here)
+        # and the K x n harmonics 225 MB each; blocked, the sample's copies dominate.
+        theta = get_model("M16").sample(100_000, make_rng(6, 16))
+        tracemalloc.start()
+        try:
+            kmod._trig_moments(theta, 281)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * theta.nbytes + 4 * 8 * kmod._CHUNK_CELLS
 
 
 class TestIse:

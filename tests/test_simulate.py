@@ -5,9 +5,9 @@ import math
 import pytest
 
 from circkde import simulate
-from circkde.catalogue import get_model
+from circkde.catalogue import get_model, model_index
 from circkde.em import EmConfig
-from circkde.rng import make_rng
+from circkde.rng import derive_seed, make_rng
 from circkde.selectors import LCV, ORACLE, PI, RT, BandwidthResult, lcv, plug_in, rule_of_thumb
 from circkde.simulate import (
     CellResult,
@@ -161,6 +161,41 @@ class TestSelect:
         (cell,) = run_experiment(cfg).cells
         assert calls == [50, 50, 50]
         assert cell.replicates == 3 and cell.errors == 0
+
+    def test_selector_error_keeps_message_and_replay_key(self, monkeypatch):
+        seeds = []
+
+        def flaky_plug_in(s, cfg=None, domain=None):
+            seeds.append(cfg.seed)
+            if len(seeds) == 2:
+                raise RuntimeError("no mixture for replicate 1")
+            return BandwidthResult(nu=2.0, selector=PI)
+
+        monkeypatch.setattr(simulate, "plug_in", flaky_plug_in)
+        cfg = ExperimentConfig(
+            models=("M2",), sample_sizes=(50,), replicates=3, selectors=(PI,), base_seed=1
+        )
+        report = run_experiment(cfg)
+        (cell,) = report.cells
+        assert cell.errors == 1 and cell.replicates == 2
+        # the replay key: replicate 1's sample and EM seed are derived from it alone
+        assert seeds[1] == derive_seed(1, model_index("M2"), 50, 1, 97)
+        assert cell.first_error == {
+            "model": "M2", "n": 50, "replicate": 1, "em_seed": seeds[1],
+            "message": "RuntimeError: no mixture for replicate 1",
+        }
+        assert json.loads(report.to_json())["cells"][0]["first_error"] == cell.first_error
+        # a reference centred on the observed value: the error alone fails the cell
+        ref = {("M2", 50, PI): ReferenceCell("M2", 50, PI, 100 * cell.mean_ise, None)}
+        (comp,) = compare_to_reference(report, ref)
+        assert comp.passed is False
+        assert comp.describe().endswith(
+            f"; first error at model=M2 n=50 replicate=1 em_seed={seeds[1]}: "
+            "RuntimeError: no mixture for replicate 1"
+        )
+        clean = dataclasses.replace(cell, errors=0, replicates=3, first_error=None)
+        (comp,) = compare_to_reference(dataclasses.replace(report, cells=(clean,)), ref)
+        assert comp.passed and "first error" not in comp.describe()
 
 
 class TestReferenceTable:
