@@ -79,11 +79,19 @@ def inverse_mean_resultant_ratio(rbar):
     |A(kappa) - rbar| < 1e-12; one step suffices. Results are capped at
     ``KAPPA_CAP``; inputs at or above A(KAPPA_CAP) (in particular
     rbar >= 1) return the cap, which callers can detect with
-    :func:`is_saturated`.
+    :func:`is_saturated`. When every entry is interior, the whole input is
+    the Newton batch that the masked path would build from it, so both
+    give the same bits.
     """
-    r = np.atleast_1d(np.asarray(rbar, dtype=float))
-    if not (r >= 0).all():  # also catches NaN
+    r = np.asarray(rbar, dtype=float)
+    lo = np.minimum.reduce(r, axis=None, initial=np.inf)
+    if not lo >= 0:  # also catches NaN
         raise ValueError("rbar must be non-negative")
+    if r.size and lo > 0 and np.maximum.reduce(r, axis=None) < _A_AT_CAP:
+        # Every entry interior: no mask and no scatter.
+        k = _newton_inverse(r)
+        return float(k) if r.ndim == 0 else k
+    r = np.atleast_1d(r)
     out = np.where(r > 0, KAPPA_CAP, 0.0)
     interior = (r > 0) & (r < _A_AT_CAP)
     if interior.any():
@@ -151,9 +159,10 @@ def _newton_start(r: np.ndarray) -> np.ndarray:
 def _newton_inverse(r: np.ndarray, tol: float = 1e-12, max_iter: int = 100) -> np.ndarray:
     k = _newton_start(r)
     for _ in range(max_iter):
-        a = i1e(k) / i0e(k)
+        a = i1e(k)
+        a /= i0e(k)
         f = a - r
-        if (np.abs(f) < tol).all():
+        if np.maximum.reduce(np.abs(f), axis=None) < tol:  # False on NaN, as .all() is
             break
         step = f / (1.0 - a / k - a * a)
         # A is increasing and concave; keep iterates inside (0, cap].

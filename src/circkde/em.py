@@ -1,9 +1,14 @@
 """Maximum-likelihood von Mises mixtures: EM fitting and AIC selection.
 
-The E-step works in log space; the M-step updates weights, mean
-directions and concentrations from weighted resultants. Initialization is
-a seeded farthest-point sweep over the data, so every fit is reproducible
-from an integer seed.
+The E-step works in log space: one matmul of each component's
+(kappa cos mu, kappa sin mu, log-normalizer) with the sample's
+(cos theta, sin theta, 1) gives every log density, and the log-sum-exp
+runs in place. The M-step updates weights, mean directions and
+concentrations from weighted resultants. The restarts of one fit advance
+in lockstep, so one iteration is a fixed, small number of numpy calls on
+(restarts, M) and (restarts, M, n) arrays. Initialization is a seeded
+farthest-point sweep over the data, so every fit is reproducible from an
+integer seed.
 """
 
 from __future__ import annotations
@@ -33,12 +38,12 @@ class EmConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
-        if self.rel_tol <= 0:
-            raise ValueError("rel_tol must be positive")
-        if self.n_restarts < 1:
-            raise ValueError("n_restarts must be >= 1")
+        if not isinstance(self.max_iter, (int, np.integer)) or self.max_iter < 1:
+            raise ValueError(f"max_iter must be an integer >= 1, got {self.max_iter!r}")
+        if not 0 < self.rel_tol < math.inf:  # also catches NaN
+            raise ValueError(f"rel_tol must be positive and finite, got {self.rel_tol!r}")
+        if not isinstance(self.n_restarts, (int, np.integer)) or self.n_restarts < 1:
+            raise ValueError(f"n_restarts must be an integer >= 1, got {self.n_restarts!r}")
 
 
 @dataclass(frozen=True)
@@ -170,9 +175,13 @@ def select_reference_mixture(
 
 
 def _unit_vectors(sample) -> np.ndarray:
-    """(cos theta, sin theta) of each observation as a (2, n) matrix."""
+    """(cos theta, sin theta, 1) of each observation as a (3, n) matrix.
+
+    The row of ones carries each component's log-normalizer through the
+    E-step's matmul, so no separate pass over (restarts, M, n) adds it.
+    """
     arr = _as_sample(sample)
-    return np.stack((np.cos(arr), np.sin(arr)))
+    return np.stack((np.cos(arr), np.sin(arr), np.ones_like(arr)))
 
 
 def _initial_centers(arr: np.ndarray, M: int, rng: np.random.Generator) -> np.ndarray:
@@ -212,7 +221,6 @@ def _run_em_restarts(x: np.ndarray, mus0: np.ndarray, cfg: EmConfig) -> MixtureF
     n_iters = np.full(nr, cfg.max_iter)
     converged = np.zeros(nr, dtype=bool)
     run = np.arange(nr)  # the restart behind each working row
-    ll_prev = np.full(nr, -math.inf)
     # Row it - 1 holds iteration it's log-likelihoods; restart r runs
     # iterations 1..n_iters[r], so its trace is a prefix of its column.
     ll_hist = np.empty((cfg.max_iter, nr))
@@ -220,19 +228,23 @@ def _run_em_restarts(x: np.ndarray, mus0: np.ndarray, cfg: EmConfig) -> MixtureF
         resp, ll = _batch_e_step(x, alpha, mus, kappas)
         alpha, mus, kappas = _batch_m_step(x, resp)
         ll_hist[it - 1, run] = ll
-        done = (ll_prev > -math.inf) & (
-            np.abs(ll - ll_prev) <= cfg.rel_tol * np.maximum(np.abs(ll_prev), 1.0)
-        )
-        if done.any():
-            stop = run[done]
-            final[:, stop] = alpha[done], mus[done], kappas[done]
-            n_iters[stop] = it
-            converged[stop] = True
-            keep = ~done
-            run, alpha, mus, kappas, ll = run[keep], alpha[keep], mus[keep], kappas[keep], ll[keep]
-            if not run.size:
-                break
+        if it > 1:
+            change = ll - ll_prev
+            done = np.abs(change, out=change) <= tol
+            if done.any():
+                stop = run[done]
+                final[:, stop] = alpha[done], mus[done], kappas[done]
+                n_iters[stop] = it
+                converged[stop] = True
+                keep = ~done
+                run, alpha, mus, kappas, ll = run[keep], alpha[keep], mus[keep], kappas[keep], ll[keep]
+                if not run.size:
+                    break
+        # The next iteration's stop threshold, rel_tol * max(|ll_prev|, 1).
         ll_prev = ll
+        tol = np.abs(ll)
+        np.maximum(tol, 1.0, out=tol)
+        tol *= cfg.rel_tol
     final[:, run] = alpha, mus, kappas  # restarts that reached max_iter
     alpha, mus, kappas = final
     _, ll_final = _batch_e_step(x, alpha, mus, kappas)
@@ -255,33 +267,47 @@ def _run_em_restarts(x: np.ndarray, mus0: np.ndarray, cfg: EmConfig) -> MixtureF
 def _batch_e_step(x, alpha, mus, kappas):
     """Responsibilities (restarts, M, n) and log-likelihood per restart.
 
-    The (restarts, M) parameters meet the (2, n) unit vectors ``x`` in one
-    matmul; the log-sum-exp then reduces over components elementwise
-    across contiguous rows of length n.
+    Each component's weights (kappa cos mu, kappa sin mu, log-normalizer
+    log alpha - log 2 pi - log i0e(kappa) - kappa) meet the (3, n)
+    ``x`` of :func:`_unit_vectors` in one matmul, which gives every log
+    density. The log-sum-exp then runs in place, reducing over components
+    elementwise across contiguous rows of length n.
     """
-    w = kappas * np.array((np.cos(mus), np.sin(mus)))
+    w = np.empty((3,) + kappas.shape)
+    np.multiply(kappas, np.cos(mus), out=w[0])
+    np.multiply(kappas, np.sin(mus), out=w[1])
+    lognorm = np.log(alpha, out=w[2])
+    lognorm -= _LOG_TWO_PI
+    lognorm -= np.log(i0e(kappas))
+    lognorm -= kappas
     d = w.transpose(1, 2, 0) @ x
-    d += (np.log(alpha) - _LOG_TWO_PI - np.log(i0e(kappas)) - kappas)[:, :, None]
-    colmax = d.max(axis=1)
-    d -= colmax[:, None, :]
+    colmax = np.maximum.reduce(d, axis=1, keepdims=True)
+    d -= colmax
     np.exp(d, out=d)
-    colsum = d.sum(axis=1)
-    ll = (colmax + np.log(colsum)).sum(axis=1)
-    d /= colsum[:, None, :]
-    return d, ll
+    colsum = np.add.reduce(d, axis=1, keepdims=True)
+    d /= colsum
+    np.log(colsum, out=colsum)
+    colsum += colmax
+    return d, np.add.reduce(colsum[:, 0], axis=1)
 
 
 def _batch_m_step(x, resp):
-    """Weights, mean directions and concentrations from (restarts, M, n) responsibilities."""
-    wsum = resp.sum(axis=2)
-    cs = resp @ x.T
+    """Weights, mean directions and concentrations from (restarts, M, n) responsibilities.
+
+    The resultants come from the (cos theta, sin theta) rows of ``x``.
+    """
+    wsum = np.add.reduce(resp, axis=2)
+    cs = resp @ x[:2].T
     c, s = cs[:, :, 0], cs[:, :, 1]
-    mus = np.arctan2(s, c) % TWO_PI
-    rbar = np.minimum(np.hypot(c, s) / np.maximum(wsum, 1e-300), 1.0)
-    kappas = inverse_mean_resultant_ratio(rbar.ravel()).reshape(rbar.shape)
+    mus = np.arctan2(s, c)
+    mus %= TWO_PI
+    rbar = np.hypot(c, s)
+    rbar /= np.maximum(wsum, 1e-300)
+    kappas = inverse_mean_resultant_ratio(np.minimum(rbar, 1.0, out=rbar))
     # Guard against components that lost all support this iteration.
     alpha = np.maximum(wsum / x.shape[1], 1e-300)
-    return alpha / alpha.sum(axis=1, keepdims=True), mus, kappas
+    alpha /= np.add.reduce(alpha, axis=1, keepdims=True)
+    return alpha, mus, kappas
 
 
 def _finalize(

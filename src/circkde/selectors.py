@@ -70,8 +70,8 @@ class NuSearchDomain:
     def __post_init__(self):
         if not 0 < self.nu_min < self.nu_max:
             raise ValueError("need 0 < nu_min < nu_max")
-        if self.n_probes < 2:
-            raise ValueError("need at least 2 probes")
+        if not isinstance(self.n_probes, (int, np.integer)) or self.n_probes < 2:
+            raise ValueError(f"need an integer of at least 2 probes, got {self.n_probes!r}")
 
     @classmethod
     def for_sample_size(cls, n: int) -> "NuSearchDomain":

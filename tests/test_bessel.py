@@ -196,6 +196,32 @@ class TestInverse:
         for r, k in zip(rbars, vec):
             assert k == pytest.approx(inverse_mean_resultant_ratio(float(r)), rel=1e-9, abs=1e-12)
 
+    def test_empty_gives_empty(self):
+        out = inverse_mean_resultant_ratio(np.array([]))
+        assert isinstance(out, np.ndarray) and out.shape == (0,)
+
+    @pytest.mark.parametrize("rbar", [0.0, 0.3, 1.0])
+    def test_scalar_gives_float(self, rbar):
+        for arg in (rbar, np.asarray(rbar), np.float64(rbar)):
+            out = inverse_mean_resultant_ratio(arg)
+            assert type(out) is float
+            assert out == inverse_mean_resultant_ratio(np.array([rbar]))[0]
+
+    @pytest.mark.parametrize("rbar", [[[0.1, 0.5, 0.9], [0.2, 0.3, 0.4]], [[0.0, 0.5], [1.0, 0.7]]])
+    def test_2d_keeps_shape(self, rbar):
+        r = np.array(rbar)
+        out = inverse_mean_resultant_ratio(r)
+        assert out.shape == r.shape
+        np.testing.assert_array_equal(out.ravel(), inverse_mean_resultant_ratio(r.ravel()))
+
+    def test_interior_batch_as_with_zero_and_saturated(self):
+        # All-interior input and the same entries between a zero and a
+        # saturated value run the same Newton batch, so agree bit for bit.
+        r = np.random.default_rng(3).uniform(1e-9, 0.999, 40)
+        both = inverse_mean_resultant_ratio(np.concatenate(([0.0], r, [1.0])))
+        assert both[0] == 0.0 and both[-1] == KAPPA_CAP
+        np.testing.assert_array_equal(both[1:-1], inverse_mean_resultant_ratio(r))
+
 
     @pytest.fixture(scope="class")
     def sweep(self):

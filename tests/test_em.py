@@ -11,6 +11,7 @@ from circkde.bessel import KAPPA_CAP, is_saturated, mean_resultant_ratio
 from circkde.catalogue import get_model
 from circkde.em import (
     EmConfig,
+    _batch_e_step,
     _initial_centers,
     _run_em_restarts,
     _unit_vectors,
@@ -222,6 +223,54 @@ class TestRestarts:
             assert fit.ll_trace == solo.ll_trace and len(fit.ll_trace) == solo.n_iter + 1
 
 
+class TestEStep:
+    KAPPAS = (0.0, 0.5, 3.0, 40.0, KAPPA_CAP)
+
+    @pytest.mark.parametrize("kappa", KAPPAS)
+    @pytest.mark.parametrize("n", [1, 7, 250])
+    @pytest.mark.parametrize("M", [1, 2, 5])
+    @pytest.mark.parametrize("restarts", [1, 3])
+    def test_matches_per_component_logsumexp(self, restarts, M, n, kappa):
+        """Responsibilities and log-likelihoods against a reference per component.
+
+        The reference takes each log density as log alpha - log 2 pi
+        - log i0e(kappa) - 2 kappa sin^2((theta - mu) / 2), which has no
+        cancellation. ``_batch_e_step`` forms kappa cos(theta - mu) - kappa
+        from products and sums of order kappa, so each of its log densities
+        is off by a few rounding units of kappa + |log alpha| + log 2 pi
+        + |log i0e(kappa)|; the reference's own error is a few units of
+        kappa. delta = 32 eps (1 + kappa + |log alpha|) per restart covers
+        both with room. Log-sum-exp moves by at most the largest change of
+        its arguments, so each observation's term is within delta plus
+        (M + 4) eps of its size, and their sum within n delta plus
+        (n + M + 4) eps times the sum of their sizes. A responsibility
+        exp(d - lse) <= 1 moves by at most 2 delta plus (M + 4) eps.
+        """
+        rng = make_rng(17, restarts, M, n, int(kappa))
+        theta = rng.uniform(0.0, TWO_PI, n)
+        alpha = rng.dirichlet(np.ones(M), restarts)
+        mus = rng.uniform(0.0, TWO_PI, (restarts, M))
+        # The first component carries the case's kappa; the others cycle
+        # through the rest of the list, so large and small ones meet.
+        start = self.KAPPAS.index(kappa)
+        kappas = np.array(self.KAPPAS)[(start + np.arange(restarts * M)) % 5].reshape(restarts, M)
+        mus.flat[0] = theta[0]  # one observation on a mode, where the density peaks
+
+        resp, ll = _batch_e_step(_unit_vectors(theta), alpha, mus, kappas)
+
+        logd = (
+            np.log(alpha) - math.log(TWO_PI) - np.log(i0e(kappas))
+        )[:, :, None] - 2.0 * kappas[:, :, None] * np.sin(0.5 * (theta - mus[:, :, None])) ** 2
+        lse = logsumexp(logd, axis=1)
+        eps = np.finfo(float).eps
+        delta = 32 * eps * (1.0 + kappas.max(axis=1) + np.abs(np.log(alpha)).max(axis=1))
+        ll_bound = n * delta + (n + M + 4) * eps * np.abs(lse).sum(axis=1)
+        assert resp.shape == (restarts, M, n) and ll.shape == (restarts,)
+        assert np.all(np.abs(ll - lse.sum(axis=1)) <= ll_bound)
+        resp_bound = 2 * delta + (M + 4) * eps
+        assert np.all(np.abs(resp - np.exp(logd - lse[:, None, :])) <= resp_bound[:, None, None])
+
+
 class TestAic:
     def test_trivial_values(self):
         assert aic_value(0.0, 1) == 4.0
@@ -276,3 +325,13 @@ class TestConfig:
             EmConfig(rel_tol=0.0)
         with pytest.raises(ValueError):
             EmConfig(n_restarts=0)
+        # A NaN tolerance would run every fit to max_iter, unconverged.
+        for rel_tol in (math.nan, math.inf, -1e-6):
+            with pytest.raises(ValueError):
+                EmConfig(rel_tol=rel_tol)
+        # Non-integer counts would fail later, inside range() or np.full.
+        for bad in ({"max_iter": 2.5}, {"max_iter": 200.0}, {"n_restarts": 2.5}, {"n_restarts": "5"}):
+            with pytest.raises(ValueError):
+                EmConfig(**bad)
+        assert EmConfig(max_iter=np.int64(3), n_restarts=np.int32(2)).max_iter == 3
+        assert EmConfig() == EmConfig(max_iter=200, rel_tol=1e-6, n_restarts=5, seed=0)

@@ -376,6 +376,11 @@ class TestDomain:
             NuSearchDomain(1.0, 0.5)
         with pytest.raises(ValueError):
             NuSearchDomain(0.1, 1.0, 1)
+        # A fractional count would fail later, inside np.geomspace.
+        for n_probes in (2.5, 50.0):
+            with pytest.raises(ValueError):
+                NuSearchDomain(0.1, 1.0, n_probes)
+        assert NuSearchDomain(0.1, 1.0, np.int64(3)).probes().size == 3
 
     def test_amise_minimizer_nondecreasing_in_n(self):
         curv = vm_curvature(1.0)  # the M2 truth curvature
