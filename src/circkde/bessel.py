@@ -31,6 +31,9 @@ OVERFLOW_THRESHOLD = 700.0
 # A(KAPPA_CAP): resultant lengths at or above this saturate the inversion.
 _A_AT_CAP = float(i1e(KAPPA_CAP) / i0e(KAPPA_CAP))
 
+# A^{-1} keeps its start if every |A(start) - rbar| is below this.
+_NEWTON_TOL = 1e-12
+
 # Orders whose kernel coefficient rho_m(nu_max) is at most this are dropped.
 # |phi_m| <= 1, so each dropped term is below double precision of the
 # estimator's Fourier coefficients, whose order 0 term is 1.
@@ -74,9 +77,9 @@ def inverse_mean_resultant_ratio(rbar):
     import on 1025 nodes. h is smooth on [0, 1): 2 + O(r^2) near 0 and
     about 1/2 near 1, so linear interpolation puts
     kappa_0 = r h(r) / (1 - r) within 1e-6 relative of the root, and
-    kappa_0 = 2 rbar for tiny rbar. Safeguarded Newton steps
-    (A'(kappa) = 1 - A/kappa - A^2) then run until every entry has
-    |A(kappa) - rbar| < 1e-12; one step suffices. Results are capped at
+    kappa_0 = 2 rbar for tiny rbar. Unless every start meets
+    |A(kappa) - rbar| < 1e-12, one safeguarded Newton step (A'(kappa) =
+    1 - A/kappa - A^2) leaves each within 2.4e-14. Results are capped at
     ``KAPPA_CAP``; inputs at or above A(KAPPA_CAP) (in particular
     rbar >= 1) return the cap, which callers can detect with
     :func:`is_saturated`. When every entry is interior, the whole input is
@@ -156,15 +159,13 @@ def _newton_start(r: np.ndarray) -> np.ndarray:
     return r * np.interp(r, _R_NODES, _H_NODES) / (1.0 - r)
 
 
-def _newton_inverse(r: np.ndarray, tol: float = 1e-12, max_iter: int = 100) -> np.ndarray:
+def _newton_inverse(r: np.ndarray) -> np.ndarray:
     k = _newton_start(r)
-    for _ in range(max_iter):
-        a = i1e(k)
-        a /= i0e(k)
-        f = a - r
-        if np.maximum.reduce(np.abs(f), axis=None) < tol:  # False on NaN, as .all() is
-            break
-        step = f / (1.0 - a / k - a * a)
-        # A is increasing and concave; keep iterates inside (0, cap].
-        k = np.minimum(np.maximum(k - step, k * 0.1), KAPPA_CAP)
-    return k
+    a = i1e(k)
+    a /= i0e(k)
+    f = a - r
+    if np.maximum.reduce(np.abs(f), axis=None) < _NEWTON_TOL:
+        return k
+    step = f / (1.0 - a / k - a * a)
+    # A is increasing and concave; keep the iterate inside (0, cap].
+    return np.minimum(np.maximum(k - step, k * 0.1), KAPPA_CAP)

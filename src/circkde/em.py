@@ -44,6 +44,8 @@ class EmConfig:
             raise ValueError(f"rel_tol must be positive and finite, got {self.rel_tol!r}")
         if not isinstance(self.n_restarts, (int, np.integer)) or self.n_restarts < 1:
             raise ValueError(f"n_restarts must be an integer >= 1, got {self.n_restarts!r}")
+        if not isinstance(self.seed, (int, np.integer)):
+            raise ValueError(f"seed must be an integer, got {self.seed!r}")
 
 
 @dataclass(frozen=True)

@@ -12,15 +12,15 @@ g < Q = ceil(K / B), combined by angle addition for m = g B + j. That is
 2 (B + Q) n trigonometric evaluations instead of 2 K n, with the same
 accuracy: both are limited by rounding m Theta, about pi m 1e-16.
 ``_trig_moments`` gets phi_m as one real matrix product of the tables,
-blocked over observations; ``_harmonic_blocks`` gives cos and sin(m Theta)
-in blocks of orders. From them ``kde_grid`` gets the density grid by one
-inverse FFT (``_folded_spectrum`` folds the coefficients onto the grid's
-DFT bins), ``oracle_mise_curve`` the oracle's ISE curve, and
-``selectors.lcv`` the estimator at its own sample points (a K x n table,
-not an n x n kernel matrix). All keep the K orders ``bessel._order_count``
-retains; rho_m and its truncation belong to ``bessel``. ``kde_evaluate``
-and the grid cells the spectrum cannot resolve to 1e-12 relative stay
-with the direct kernel sums.
+blocked over observations. From them ``kde_grid`` gets the density grid
+by one inverse FFT (``_folded_spectrum`` folds the coefficients onto the
+grid's DFT bins), ``oracle_mise_curve`` the oracle's ISE curve, and
+``_cosine_sums`` the sums behind ``selectors.lcv``'s estimator at its own
+sample points: one more real product of the low table per nu, in
+2 (B + Q) n floats rather than a K x n table or an n x n kernel matrix.
+All keep the K orders ``bessel._order_count`` retains; rho_m and its
+truncation belong to ``bessel``. ``kde_evaluate`` and the grid cells the
+spectrum cannot resolve to 1e-12 relative stay with the direct kernel sums.
 """
 
 from __future__ import annotations
@@ -186,47 +186,18 @@ def _kernel_blocks(points: np.ndarray, sample: np.ndarray, nu: float):
         yield lo, hi, block
 
 
-def _harmonic_blocks(theta: np.ndarray, orders: int):
-    """Yield (lo, hi, cos(m theta), sin(m theta)) for m = lo..hi-1, ~``_CHUNK_CELLS`` cells each.
+def _table_layout(orders: int) -> tuple[int, int, int]:
+    """B, Q and the observations per block of a real product over the two tables.
 
-    Order m = g B + j comes from the two tables by angle addition:
-    cos(m t) = cos(g B t) cos(j t) - sin(g B t) sin(j t) and
-    sin(m t) = sin(g B t) cos(j t) + cos(g B t) sin(j t). The low table
-    (2 B rows of n) is held whole; the high rows are made one g at a time.
-    Each block is written into the same two buffers, so each is
-    overwritten by the next.
+    B = ceil(sqrt(K)) and Q = ceil(K / B): every order m < K is g B + j with
+    g < Q, j < B. A block keeps both tables within ``_CHUNK_CELLS`` cells and
+    a product's 4 B Q n_block multiply-adds within 2^18, below which OpenBLAS
+    runs a product on one thread: threaded, products with few observations
+    took about 16 ms instead of 20 us on 2 cores. Products stay real for that reason too.
     """
-    base, _ = _order_split(orders)
-    low = _trig_table(theta, np.arange(base))
-    low_cos, low_sin = low[:base], low[base:]
-    step = max(1, _CHUNK_CELLS // theta.size)
-    cos_buf, sin_buf = (np.empty((min(step, orders), theta.size)) for _ in range(2))
-    prod_buf = np.empty((min(step, base), theta.size))
-    high_g = -1
-    for lo in range(0, orders, step):
-        hi = min(lo + step, orders)
-        start = lo
-        while start < hi:  # one run of orders per high row g
-            g, j = divmod(start, base)
-            if g != high_g:
-                high_g, (high_cos, high_sin) = g, _trig_table(theta, [g * base])
-            stop = min(hi, (g + 1) * base)
-            rows, js = slice(start - lo, stop - lo), slice(j, j + stop - start)
-            cos, sin, prod = cos_buf[rows], sin_buf[rows], prod_buf[: stop - start]
-            np.multiply(low_cos[js], high_cos, out=cos)
-            np.multiply(low_sin[js], high_sin, out=prod)
-            cos -= prod
-            np.multiply(low_cos[js], high_sin, out=sin)
-            np.multiply(low_sin[js], high_cos, out=prod)
-            sin += prod
-            start = stop
-        yield lo, hi, cos_buf[: hi - lo], sin_buf[: hi - lo]
-
-
-def _order_split(orders: int) -> tuple[int, int]:
-    """B = ceil(sqrt(K)) and Q = ceil(K / B): every order m < K is g B + j with g < Q, j < B."""
     base = math.isqrt(max(orders, 1) - 1) + 1
-    return base, -(-orders // base)
+    groups = -(-orders // base)
+    return base, groups, max(1, _CHUNK_CELLS // max(base * groups, 2 * (base + groups)))
 
 
 def _trig_table(theta: np.ndarray, multiples) -> np.ndarray:
@@ -301,29 +272,63 @@ def _folded_spectrum(rho: np.ndarray, phi: np.ndarray, g: int) -> np.ndarray:
 
 
 def _trig_moments(sample, orders: int) -> np.ndarray:
-    """phi_m = mean(exp(-i m Theta)) for m = 0..orders-1.
+    """phi_m = mean(exp(-i m Theta)), m < orders, from tables made per block of observations."""
+    theta = wrap_angle(_as_sample(sample))
+    base, groups, step = _table_layout(orders)
+    cos_sums, sin_sums = _harmonic_sums(
+        (_trig_table(block, base * np.arange(groups)), _trig_table(block, np.arange(base)))
+        for block in (theta[lo : lo + step] for lo in range(0, theta.size, step))
+    )
+    out = np.empty((groups, base), dtype=complex)
+    out.real = cos_sums
+    out.imag = -sin_sums
+    return out.ravel()[:orders] / theta.size
 
-    The sample sums of products of two ``_trig_table`` rows are the real
-    product [cos; sin](g B Theta) (2Q x n) times [cos; sin](j Theta)^T
-    (n x 2B), and angle addition combines them into the sums of cos and
-    sin(m Theta), m = g B + j. The product is accumulated over blocks of
-    observations that keep both its tables within ``_CHUNK_CELLS`` cells
-    and its 4 B Q n_block multiply-adds within 4 ``_CHUNK_CELLS`` = 2^18,
-    the size below which OpenBLAS runs a product on one thread. Threaded,
-    products with few observations and many orders took about 16 ms
-    instead of 20 us on a 2-core machine; complex products are avoided for
-    the same reason.
+
+def _cosine_sums(sample, orders: int):
+    """The function coef -> S, S_i = sum_m coef_m sum_j cos(m (Theta_i - Theta_j)), m < orders.
+
+    The inner sum is a_m cos(m Theta_i) + b_m sin(m Theta_i), with a_m, b_m
+    the sample's sums of cos and sin(m Theta). With C = coef a, D = coef b
+    as Q x B matrices (m = g B + j, zero from K on), angle addition gives
+    S_i = sum_g cos(g B Theta_i) U_gi + sin(g B Theta_i) V_gi with
+    [U; V] = [[C, D], [D, -C]] [cos; sin](j Theta): per coef, one real
+    product with the low table (4 K n multiply-adds), in the blocks of
+    ``_trig_moments``. The two tables, 2 (B + Q) n floats, are built once.
     """
     theta = wrap_angle(_as_sample(sample))
-    base, groups = _order_split(orders)
-    sums = np.zeros((2 * groups, 2 * base))
-    step = max(1, _CHUNK_CELLS // max(base * groups, 2 * (base + groups)))
-    for lo in range(0, theta.size, step):
-        block = theta[lo : lo + step]
-        sums += _trig_table(block, base * np.arange(groups)) @ _trig_table(block, np.arange(base)).T
-    cc, cs = sums[:groups, :base], sums[:groups, base:]
-    sc, ss = sums[groups:, :base], sums[groups:, base:]
-    out = np.empty((groups, base), dtype=complex)
-    out.real = cc - ss
-    out.imag = -(sc + cs)
-    return out.ravel()[:orders] / theta.size
+    base, groups, step = _table_layout(orders)
+    high = _trig_table(theta, base * np.arange(groups))
+    low = _trig_table(theta, np.arange(base))
+    spans = (slice(lo, lo + step) for lo in range(0, theta.size, step))
+    blocks = [(span, high[:, span], low[:, span]) for span in spans]
+    a, b = _harmonic_sums((high_block, low_block) for _, high_block, low_block in blocks)
+    # pattern[h, g, l, j] is [[a, b], [b, -a]], so pattern * coef is [[C, D], [D, -C]].
+    pattern = np.stack([np.stack([a, b], axis=1), np.stack([b, -a], axis=1)])
+    padded = np.zeros(groups * base)
+
+    def sums(coef: np.ndarray) -> np.ndarray:
+        padded[:orders] = coef
+        w = (pattern * padded.reshape(groups, 1, base)).reshape(2 * groups, 2 * base)
+        out = np.empty(theta.size)
+        for span, high_block, low_block in blocks:
+            uv = w @ low_block
+            uv *= high_block
+            out[span] = uv.sum(axis=0)
+        return out
+
+    return sums
+
+
+def _harmonic_sums(table_blocks) -> tuple[np.ndarray, np.ndarray]:
+    """Sums of cos and sin(m Theta), m = g B + j, as Q x B arrays, over (high, low) table blocks.
+
+    The real product high (2Q x n) times low^T (n x 2B) sums the products of
+    two table rows. Angle addition combines them: cos(m t) = cos(g B t)
+    cos(j t) - sin(g B t) sin(j t), sin(m t) = sin(g B t) cos(j t) + cos(g B t) sin(j t).
+    """
+    products = sum(high @ low.T for high, low in table_blocks)
+    groups, base = products.shape[0] // 2, products.shape[1] // 2
+    cc, cs = products[:groups, :base], products[:groups, base:]
+    sc, ss = products[groups:, :base], products[groups:, base:]
+    return cc - ss, sc + cs

@@ -8,10 +8,10 @@ Three data-driven selectors, which ``simulate.select`` dispatches by name:
                       numerically. Falls back to the rule of thumb when no
                       valid reference mixture exists.
 * ``lcv``           - maximizes the leave-one-out log-likelihood, with the
-                      leave-one-out sums taken from a table of cosine sums
-                      built on ``kde``'s harmonic blocks: O(K n) memory and
-                      time per nu, not O(n^2). Its guard rows use ``kde``'s
-                      kernel blocks.
+                      leave-one-out sums taken from ``kde``'s two
+                      trigonometric tables (``kde._cosine_sums``): O((B + Q) n)
+                      memory, B + Q about 2 sqrt(K), and O(K n) time per nu,
+                      not O(n^2). Its guard rows use ``kde``'s kernel blocks.
 
 The simulation oracle's ISE curve is ``kde.oracle_mise_curve``.
 """
@@ -28,8 +28,8 @@ from .bessel import KAPPA_CAP, _kernel_coefficients, _order_count
 from .em import EmConfig, fit_single_von_mises, select_reference_mixture
 # Unused here, but perfbench/tracing.py wraps selectors.kde_grid and selectors.ise.
 from .kde import ise, kde_grid  # noqa: F401
-from .kde import _harmonic_blocks, _kernel_blocks
-from .models import TWO_PI, _as_sample, wrap_angle
+from .kde import _cosine_sums, _kernel_blocks
+from .models import TWO_PI, _as_sample
 
 RT = "RT"
 PI = "PI"
@@ -239,14 +239,16 @@ def lcv(sample, domain: NuSearchDomain | None = None) -> BandwidthResult:
 
     Maximizes the leave-one-out log-likelihood over the probe grid, then
     refines with golden-section search around the best probe. The
-    objective is ``lcv_objective`` up to rounding, computed from the K x n
-    table T[m, i] = sum_j cos(m (Theta_i - Theta_j)), built once per call
-    with K = ``bessel._order_count(domain.nu_max)``. The kernel's expansion
+    objective is ``lcv_objective`` up to rounding. With
+    K = ``bessel._order_count(domain.nu_max)``, the kernel's expansion
     exp(nu cos x) = I_0(nu) (1 + 2 sum_m rho_m(nu) cos(m x)) gives each
-    row's leave-one-out sum as i0e(nu) (rho~ @ T)_i - 1, with
-    rho~ = (1, 2 rho_1, 2 rho_2, ...), so each nu costs O(K n). Rows whose
-    sum falls below ``_DIRECT_BELOW`` are recomputed by the direct sum.
-    ``diagnostics`` holds ``orders`` (K) and ``direct_rows`` (recomputed
+    row's leave-one-out sum as i0e(nu) S_i - 1, where
+    S_i = sum_m rho~_m sum_j cos(m (Theta_i - Theta_j)) and
+    rho~ = (1, 2 rho_1, 2 rho_2, ...). ``kde._cosine_sums`` builds the
+    sample's two trigonometric tables once per call and gives S for each
+    nu in O(K n) time and 2 (B + Q) n floats, B + Q about 2 sqrt(K). Rows
+    whose sum falls below ``_DIRECT_BELOW`` are recomputed by the direct
+    sum. ``diagnostics`` holds ``orders`` (K) and ``direct_rows`` (recomputed
     rows, summed over all evaluations).
     """
     arr = _as_sample(sample)
@@ -255,16 +257,16 @@ def lcv(sample, domain: NuSearchDomain | None = None) -> BandwidthResult:
         raise ValueError("need at least 2 observations for cross-validation")
     domain = domain or NuSearchDomain.for_sample_size(n)
     orders = _order_count(domain.nu_max)
-    table = _cos_sum_table(arr, orders)
+    cosine_sums = _cosine_sums(arr, orders)
     direct_rows = 0
 
     def objective(nu: float) -> float:
         nonlocal direct_rows
         # Orders from K on were dropped for nu_max; at a larger nu they need not be negligible.
-        assert nu <= domain.nu_max, f"nu {nu} above the table's nu_max {domain.nu_max}"
+        assert nu <= domain.nu_max, f"nu {nu} above the nu_max {domain.nu_max} of its orders"
         coef = _kernel_coefficients(np.array([nu]), orders)[0]
         coef[1:] *= 2.0
-        sums = i0e(nu) * (coef @ table) - 1.0
+        sums = i0e(nu) * cosine_sums(coef) - 1.0
         low = np.flatnonzero(sums < _DIRECT_BELOW)
         if low.size:
             sums[low] = _direct_sums(arr, low, nu)
@@ -289,22 +291,6 @@ def _direct_sums(arr: np.ndarray, rows: np.ndarray, nu: float) -> np.ndarray:
         block[np.arange(hi - lo), rows[lo:hi]] = 0.0
         out[lo:hi] = block.sum(axis=1)
     return out
-
-
-def _cos_sum_table(arr: np.ndarray, orders: int) -> np.ndarray:
-    """T[m, i] = a_m cos(m Theta_i) + b_m sin(m Theta_i), m = 0..orders-1.
-
-    a_m and b_m are the sample's cosine and sine sums, so T[m, i] is
-    sum_j cos(m (Theta_i - Theta_j)). Built from ``kde._harmonic_blocks``,
-    so that besides T only its two small tables (2 (B + Q) n floats,
-    B + Q about 2 sqrt(K)) and one block of cosines and of sines are alive.
-    """
-    table = np.empty((orders, arr.size))
-    for lo, hi, cos, sin in _harmonic_blocks(wrap_angle(arr), orders):
-        cos *= cos.sum(axis=1, keepdims=True)
-        sin *= sin.sum(axis=1, keepdims=True)
-        np.add(cos, sin, out=table[lo:hi])
-    return table
 
 
 def _lcv_from_sums(sums: np.ndarray, n: int, nu: float) -> float:

@@ -12,6 +12,7 @@ from conftest import series_bessel_i
 from circkde.bessel import (
     KAPPA_CAP,
     OVERFLOW_THRESHOLD,
+    _R_NODES,
     _RHO_FLOOR,
     _newton_start,
     _order_count,
@@ -225,11 +226,20 @@ class TestInverse:
 
     @pytest.fixture(scope="class")
     def sweep(self):
-        """A dense sweep over (0, A(KAPPA_CAP)), geometric below 1e-3."""
+        """A dense sweep over (0, A(KAPPA_CAP)), geometric below 1e-3.
+
+        It includes every interior node of the start table and every
+        interval's midpoint, where the interpolated start is farthest off.
+        """
         a_cap = mean_resultant_ratio(KAPPA_CAP)
-        r = np.concatenate(
-            [np.geomspace(1e-300, 1e-3, 2000, endpoint=False), np.linspace(1e-3, a_cap, 200_001)[:-1]]
-        )
+        nodes = _R_NODES
+        r = np.sort(np.concatenate([
+            np.geomspace(1e-300, 1e-3, 2000, endpoint=False),
+            np.linspace(1e-3, a_cap, 200_001)[:-1],
+            nodes[1:-1],
+            0.5 * (nodes[:-1] + nodes[1:]),
+        ]))
+        assert r.size == 204_047 and r[-1] < a_cap
         return r, inverse_mean_resultant_ratio(r)
 
     def test_sweep_meets_tolerance_and_is_monotone(self, sweep):
@@ -238,7 +248,7 @@ class TestInverse:
         assert np.all(np.diff(k) >= 0)
 
     def test_tabulated_start_is_close(self, sweep):
-        # One Newton step from within 1e-6 meets the 1e-12 stop rule.
+        # A^{-1} takes at most one Newton step, which from within 1e-6 meets 1e-12.
         r, k = sweep
         np.testing.assert_allclose(_newton_start(r), k, rtol=1e-6, atol=0)
 

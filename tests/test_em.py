@@ -334,4 +334,9 @@ class TestConfig:
             with pytest.raises(ValueError):
                 EmConfig(**bad)
         assert EmConfig(max_iter=np.int64(3), n_restarts=np.int32(2)).max_iter == 3
+        # make_rng would truncate a float seed, so 1.7 would fit exactly as 1 does.
+        for seed in (1.7, 1.0, "1", None):
+            with pytest.raises(ValueError):
+                EmConfig(seed=seed)
+        assert EmConfig(seed=np.uint64(2**64 - 1)).seed == 2**64 - 1
         assert EmConfig() == EmConfig(max_iter=200, rel_tol=1e-6, n_restarts=5, seed=0)

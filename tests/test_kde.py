@@ -22,7 +22,7 @@ from circkde.kde import (
 )
 from circkde.models import TWO_PI, VonMises, VonMisesMixture, wrap_angle
 from circkde.rng import make_rng
-from circkde.selectors import _cos_sum_table, _direct_sums
+from circkde.selectors import _direct_sums
 
 
 @pytest.fixture(scope="module")
@@ -226,9 +226,26 @@ def longdouble_moments(theta, orders, rows=32):
 
 
 def longdouble_cos_sum_table(theta, orders):
-    """``selectors._cos_sum_table`` in long double."""
+    """T[m, i] = sum_j cos(m (Theta_i - Theta_j)), m < orders, in long double."""
     cos, sin = longdouble_harmonics(theta, 0, orders)
-    return (cos * cos.sum(axis=1, keepdims=True) + sin * sin.sum(axis=1, keepdims=True)).astype(float)
+    return cos * cos.sum(axis=1, keepdims=True) + sin * sin.sum(axis=1, keepdims=True)
+
+
+def assert_cosine_sums(theta, orders):
+    """``_cosine_sums`` against coef @ T in long double, for LCV's rows at three nu and a random row.
+
+    Each T[m, i] is 2 n products of harmonics, each within the harmonic
+    bound, so S = coef @ T is within sum |coef_m| 2 n of that bound.
+    """
+    table = longdouble_cos_sum_table(theta, orders)
+    coefs = _kernel_coefficients(np.array([0.5, 20.0, 1e3]), orders)
+    coefs[:, 1:] *= 2.0
+    coefs = np.vstack([coefs, make_rng(7, orders).uniform(-1.0, 1.0, orders)])
+    sums = kmod._cosine_sums(theta, orders)
+    for coef in coefs:
+        ref = (coef.astype(np.longdouble) @ table).astype(float)
+        atol = np.abs(coef).sum() * 2 * theta.size * harmonic_bound(orders)
+        np.testing.assert_allclose(sums(coef), ref, rtol=0, atol=atol)
 
 
 def harmonic_bound(orders):
@@ -242,28 +259,18 @@ def harmonic_bound(orders):
 
 
 class TestBlocks:
-    """Each reduction over kde's block generators, in blocks, against a whole-matrix reference.
+    """Each blocked reduction in kde, in blocks, against a whole-matrix reference.
 
-    ``_CHUNK_CELLS`` is patched to 1000 cells, so that n = 250 runs in blocks
-    of 4 rows and the last block is partial. With 30 orders the tables hold
-    B = 6 low and Q = 5 high orders, so blocks cross from one high order to
-    the next, and ``_trig_moments`` sums 8 blocks of 33 observations.
+    ``_CHUNK_CELLS`` is patched to 1000 cells, so that n = 250 runs in kernel
+    blocks of 4 rows and the last block is partial. With 30 orders the
+    tables hold B = 6 low and Q = 5 high orders, and ``_trig_moments`` and
+    ``_cosine_sums`` run over 8 blocks of 33 observations, the last partial.
     """
 
     @pytest.fixture
     def small_blocks(self, monkeypatch):
         monkeypatch.setattr(kmod, "_CHUNK_CELLS", 1000)
         return get_model("M12").sample(250, make_rng(3, 12))
-
-    def test_harmonic_blocks(self, small_blocks):
-        orders = 30
-        cos, sin = longdouble_harmonics(small_blocks, 0, orders)
-        spans = []
-        for lo, hi, cos_block, sin_block in kmod._harmonic_blocks(wrap_angle(small_blocks), orders):
-            spans.append((lo, hi))
-            np.testing.assert_allclose(cos_block, cos[lo:hi].astype(float), rtol=0, atol=harmonic_bound(orders))
-            np.testing.assert_allclose(sin_block, sin[lo:hi].astype(float), rtol=0, atol=harmonic_bound(orders))
-        assert spans == [(lo, min(lo + 4, orders)) for lo in range(0, orders, 4)]
 
     def test_trig_moments(self, small_blocks):
         orders = 30
@@ -272,13 +279,8 @@ class TestBlocks:
         assert got[0] == 1.0
 
     def test_cos_sum_table(self, small_blocks):
-        # T[m, i] = sum_j cos(m Theta_i) cos(m Theta_j) + sin(m Theta_i) sin(m Theta_j):
-        # 2 n products of harmonics, each within the harmonic bound.
-        orders, n = 30, small_blocks.size
-        np.testing.assert_allclose(
-            _cos_sum_table(small_blocks, orders), longdouble_cos_sum_table(small_blocks, orders),
-            rtol=0, atol=2 * n * harmonic_bound(orders),
-        )
+        assert kmod._table_layout(30) == (6, 5, 33)  # B, Q and 8 blocks of observations
+        assert_cosine_sums(small_blocks, 30)
 
     @pytest.mark.parametrize("nu", [8.0, 1e3])
     def test_direct_sums(self, small_blocks, nu):
@@ -292,7 +294,7 @@ class TestBlocks:
 
 
 class TestTrigTables:
-    """The moments and LCV's table at the largest orders and samples, with default blocks."""
+    """The moments and LCV's cosine sums at the largest orders and samples, with default blocks."""
 
     @pytest.mark.parametrize("orders,n", [(2799, 50), (2799, 100), (281, 20000)])
     def test_trig_moments(self, orders, n):
@@ -303,11 +305,7 @@ class TestTrigTables:
 
     @pytest.mark.parametrize("orders,n", [(2799, 50), (2799, 100)])
     def test_cos_sum_table(self, orders, n):
-        theta = get_model("M16").sample(n, make_rng(6, 16, n))
-        np.testing.assert_allclose(
-            _cos_sum_table(theta, orders), longdouble_cos_sum_table(theta, orders),
-            rtol=0, atol=2 * n * harmonic_bound(orders),
-        )
+        assert_cosine_sums(get_model("M16").sample(n, make_rng(6, 16, n)), orders)
 
     def test_trig_moments_memory(self):
         # Unblocked, the two tables would take 2 (B + Q) n floats (54 MB here)

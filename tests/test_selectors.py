@@ -10,7 +10,7 @@ from conftest import series_bessel_i
 
 from test_em import degenerate_sample
 
-from circkde import selectors
+from circkde import kde, selectors
 from circkde.bessel import _order_count
 from circkde.catalogue import get_model
 from circkde.em import EmConfig, em_fit, fit_single_von_mises, log_likelihood, select_reference_mixture
@@ -322,15 +322,21 @@ class TestLcv:
             lcv(m2_100)
 
     def test_memory_linear_in_n(self):
-        sample = get_model("M16").sample(20_000, make_rng(9, 16))
+        # LCV holds the two trigonometric tables, 2 (B + Q) n floats (9.3 MB
+        # here, B = 15, Q = 14). A K x n table of cosine sums alone would
+        # take 32.6 MB, and one n x n float64 matrix 3.2 GB.
+        n = 20_000
+        sample = get_model("M16").sample(n, make_rng(9, 16))
+        orders = _order_count(NuSearchDomain.for_sample_size(n).nu_max)
+        base, groups, _ = kde._table_layout(orders)
         tracemalloc.start()
         try:
             lcv(sample)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # one n x n float64 matrix alone would take 3.2 GB
-        assert peak < 64e6
+        assert (orders, base, groups) == (204, 15, 14)
+        assert peak < 8 * (2 * (base + groups) * n + 4 * n + 4 * kde._CHUNK_CELLS)
 
 
 class TestNonFinite:
