@@ -272,6 +272,30 @@ class TestBlocks:
         monkeypatch.setattr(kmod, "_CHUNK_CELLS", 1000)
         return get_model("M12").sample(250, make_rng(3, 12))
 
+    def test_harmonic_blocks(self, small_blocks):
+        # cos and sin(m Theta_i), m = g B + j, by angle addition from one
+        # observation's columns of its block's two tables, and their sums
+        # over the observation blocks of _trig_moments and _cosine_sums
+        orders = 30
+        theta = wrap_angle(small_blocks)
+        base, groups, step = kmod._table_layout(orders)
+        spans = [(lo, min(lo + step, theta.size)) for lo in range(0, theta.size, step)]
+        assert spans == [(lo, lo + 33) for lo in range(0, 231, 33)] + [(231, 250)]
+        cos, sin = longdouble_harmonics(small_blocks, 0, base * groups)
+        bound = harmonic_bound(base * groups)
+        tables = []
+        for lo, hi in spans:
+            high = kmod._trig_table(theta[lo:hi], base * np.arange(groups))
+            low = kmod._trig_table(theta[lo:hi], np.arange(base))
+            tables.append((high, low))
+            for k in range(hi - lo):
+                c, s = kmod._harmonic_sums([(high[:, k : k + 1], low[:, k : k + 1])])
+                np.testing.assert_allclose(c.ravel(), cos[:, lo + k].astype(float), rtol=0, atol=bound)
+                np.testing.assert_allclose(s.ravel(), sin[:, lo + k].astype(float), rtol=0, atol=bound)
+        c, s = kmod._harmonic_sums(tables)
+        np.testing.assert_allclose(c.ravel(), cos.sum(axis=1).astype(float), rtol=0, atol=theta.size * bound)
+        np.testing.assert_allclose(s.ravel(), sin.sum(axis=1).astype(float), rtol=0, atol=theta.size * bound)
+
     def test_trig_moments(self, small_blocks):
         orders = 30
         got = kmod._trig_moments(small_blocks, orders)
