@@ -68,8 +68,8 @@ class NuSearchDomain:
     n_probes: int = 50
 
     def __post_init__(self):
-        if not 0 < self.nu_min < self.nu_max:
-            raise ValueError("need 0 < nu_min < nu_max")
+        if not 0 < self.nu_min < self.nu_max <= KAPPA_CAP:  # also catches NaN and inf
+            raise ValueError(f"need 0 < nu_min < nu_max <= {KAPPA_CAP}")
         if not isinstance(self.n_probes, (int, np.integer)) or self.n_probes < 2:
             raise ValueError(f"need an integer of at least 2 probes, got {self.n_probes!r}")
 

@@ -9,11 +9,14 @@ from scipy.special import i0e, ive
 
 from conftest import series_bessel_i
 
+from circkde import bessel
 from circkde.bessel import (
     KAPPA_CAP,
     OVERFLOW_THRESHOLD,
+    _BATCH_NUS,
     _R_NODES,
     _RHO_FLOOR,
+    _kernel_coefficients,
     _newton_start,
     _order_count,
     bessel_i,
@@ -25,6 +28,7 @@ from circkde.em import log_likelihood
 from circkde.kde import KdeFit, kde_evaluate
 from circkde.models import TWO_PI, VonMises, VonMisesMixture
 from circkde.selectors import amise
+from circkde.simulate import default_oracle_grid
 
 
 class TestBesselI:
@@ -287,6 +291,117 @@ class TestOrderCount:
         # The grid reaches the first and the last order of the block [64, 128).
         assert {64, 127} <= set(got)
         assert got[400] == 2799  # at KAPPA_CAP
+
+    @pytest.mark.parametrize("nu", [math.nan, math.inf, -1.0, KAPPA_CAP * (1 + 1e-15)])
+    def test_outside_range_rejected(self, nu):
+        # At NaN or inf no order meets the floor, and the scan would grow without end.
+        with pytest.raises(ValueError):
+            _order_count(nu)
+
+
+# nu where rho is checked against mpmath: small, the ORACLE and LCV ranges, and the cap.
+RHO_NUS = (0.01, 0.3, 1.0, 7.7, 63.1, 91.0, 209.1, 1500.0, 1e4, KAPPA_CAP)
+
+
+@pytest.fixture(scope="module")
+def mpmath_rho():
+    """{nu: (orders, rho at those orders)} to 30 digits, orders sampled up to _order_count(KAPPA_CAP).
+
+    mpmath's I_m series needs about nu terms when m is near K, which takes
+    seconds per order at nu = KAPPA_CAP. There the reference is the integral
+    I_m(nu) e^-nu = (1 / pi) int_0^pi e^{nu (cos t - 1)} cos(m t) dt, whose
+    integrand is below 1e-78 past t = 0.06.
+    """
+    mp = pytest.importorskip("mpmath")
+    top = _order_count(KAPPA_CAP)
+    out = {}
+    with mp.workdps(40):
+        for nu in RHO_NUS:
+            own = _order_count(nu)
+            orders = np.unique(np.r_[np.linspace(0, own - 1, 9), np.linspace(0, top - 1, 9)].astype(int))
+            if nu < 1e5:
+                i0 = mp.besseli(0, nu)
+                ref = [mp.besseli(int(m), nu, maxterms=10**6) / i0 for m in orders]
+            else:
+                nodes = mp.linspace(0, 0.06, 61)
+
+                def scaled(m):
+                    return mp.quad(lambda t: mp.exp(nu * (mp.cos(t) - 1)) * mp.cos(m * t), nodes)
+
+                i0 = scaled(0)
+                ref = [scaled(int(m)) / i0 for m in orders]
+            out[nu] = orders, np.array([float(r) for r in ref])
+    return out
+
+
+class TestKernelCoefficients:
+    @staticmethod
+    def assert_close(got, ref, rel):
+        """Relative error <= rel where rho >= 1e-280, absolute error <= 1e-15 everywhere."""
+        err = np.abs(got - ref)
+        kept = ref >= 1e-280
+        assert np.all(err[kept] <= rel * ref[kept])
+        assert np.all(err <= 1e-15)
+
+    @pytest.mark.parametrize("nu", RHO_NUS)
+    def test_one_nu_matches_mpmath(self, nu, mpmath_rho):
+        orders, ref = mpmath_rho[nu]
+        own = orders < _order_count(nu)
+        self.assert_close(_kernel_coefficients(np.array([nu]))[0][orders[own]], ref[own], 5e-14)
+
+    def test_batch_matches_mpmath(self, mpmath_rho):
+        # One batch of all ten at the cap's order count: small nu reach far below 1e-280.
+        assert len(RHO_NUS) >= _BATCH_NUS  # the vectorized loop
+        rho = _kernel_coefficients(np.array(RHO_NUS))
+        assert rho.shape[1] == _order_count(KAPPA_CAP)
+        for row, nu in zip(rho, RHO_NUS):
+            orders, ref = mpmath_rho[nu]
+            own = orders < _order_count(nu)
+            self.assert_close(row[orders[own]], ref[own], 5e-14)
+            # Past a nu's own order count the start pair's error, which is
+            # ive's (8e-13 at nu = 1e4, K = 2,799), reaches the last orders,
+            # where rho is below 1e-17.
+            self.assert_close(row[orders[~own]], ref[~own], 1e-12)
+
+    @pytest.mark.parametrize("n", [100, 250])
+    def test_oracle_batch_rows_equal_one_nu_rows(self, n):
+        nus = default_oracle_grid(n)
+        assert nus.size >= _BATCH_NUS
+        batch = _kernel_coefficients(nus)
+        alone = np.array([_kernel_coefficients(np.array([nu]), batch.shape[1])[0] for nu in nus])
+        assert np.array_equal(batch, alone)
+
+    def test_curvature_input_equal_on_both_loops(self, monkeypatch):
+        kappas = np.array([0.5, 40.0, KAPPA_CAP])
+        by_float = _kernel_coefficients(kappas)
+        alone = [_kernel_coefficients(kappas[i : i + 1], by_float.shape[1])[0] for i in range(3)]
+        monkeypatch.setattr(bessel, "_BATCH_NUS", 1)
+        assert np.array_equal(_kernel_coefficients(kappas), by_float)
+        assert np.array_equal(by_float, alone)
+
+    @pytest.mark.parametrize("size", [2, 12])
+    def test_zero_nu_row(self, size):
+        unit = np.zeros(5)
+        unit[0] = 1.0
+        assert np.array_equal(_kernel_coefficients(np.array([0.0]), 5), [unit])
+        assert np.array_equal(_kernel_coefficients(np.array([0.0])), [[1.0]])
+        nus = np.geomspace(0.1, 10.0, size)
+        nus[size // 2] = 0.0
+        rho = _kernel_coefficients(nus, 5)
+        assert np.array_equal(rho[size // 2], unit)
+        others = np.delete(nus, size // 2)
+        assert np.array_equal(np.delete(rho, size // 2, axis=0), _kernel_coefficients(others, 5))
+
+    def test_one_order(self):
+        assert np.array_equal(_kernel_coefficients(np.array([0.5, 3.0]), 1), [[1.0], [1.0]])
+
+    def test_no_warning_where_ive_underflows(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            small = _kernel_coefficients(np.array([0.01]), _order_count(KAPPA_CAP))
+            rho = _kernel_coefficients(np.geomspace(0.01, KAPPA_CAP, 50))
+        assert small[0, -1] == 0.0 and np.all(np.isfinite(rho))
+        assert np.array_equal(small[0], rho[0])
 
 
 def test_kappa_cap_large_enough():

@@ -11,7 +11,7 @@ from conftest import series_bessel_i
 from test_em import degenerate_sample
 
 from circkde import kde, selectors
-from circkde.bessel import _order_count
+from circkde.bessel import KAPPA_CAP, _order_count
 from circkde.catalogue import get_model
 from circkde.em import EmConfig, em_fit, fit_single_von_mises, log_likelihood, select_reference_mixture
 from circkde.kde import KdeFit, density_grid_of, ise, kde_grid, oracle_mise_curve
@@ -382,6 +382,11 @@ class TestDomain:
             NuSearchDomain(1.0, 0.5)
         with pytest.raises(ValueError):
             NuSearchDomain(0.1, 1.0, 1)
+        # Past the cap, and at inf, lcv's order count has no answer.
+        for nu_max in (math.inf, math.nan, 2.0 * KAPPA_CAP):
+            with pytest.raises(ValueError):
+                NuSearchDomain(0.01, nu_max)
+        assert NuSearchDomain(0.01, KAPPA_CAP).nu_max == KAPPA_CAP
         # A fractional count would fail later, inside np.geomspace.
         for n_probes in (2.5, 50.0):
             with pytest.raises(ValueError):
