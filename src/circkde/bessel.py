@@ -7,15 +7,13 @@ the exponentially scaled form exp(-x) * I_r(x); the exponential factors
 cancel algebraically and are never materialized.
 
 This module owns the von Mises characteristic function
-rho_m(kappa) = I_m(kappa) / I_0(kappa) (``_kernel_coefficients``) and the
-rule that truncates it (``_order_count``). Three users share them: the
-ORACLE curve and LCV in ``kde`` and ``selectors``, where kappa is the
-kernel concentration nu, and the mixture curvature in ``models``.
-
-Backed by ``scipy.special``'s scaled ``ive``, ``i0e`` and ``i1e``. The
-rows rho_m(nu) take one ``ive`` pair per nu and a downward recurrence for
-the ratios I_m / I_{m-1}. An independent power-series oracle and mpmath
-references live in the test suite.
+rho_m(kappa) = I_m(kappa) / I_0(kappa) (``_kernel_coefficients``), the
+rule that truncates it (``_order_count``) and the range of kappa
+(``_check_concentration``); ``kde``, ``selectors`` and ``models`` share
+them. Backed by ``scipy.special``'s scaled ``ive``, ``i0e`` and ``i1e``:
+each row rho_m(nu) is a downward recurrence for I_m / I_{m-1} that one
+``ive`` pair seeds, and ``_order_count`` reads K off such rows. An
+independent power-series oracle and mpmath references live in the test suite.
 """
 
 from __future__ import annotations
@@ -114,23 +112,29 @@ def is_saturated(kappa) -> bool:
     return bool(np.all(np.asarray(kappa) >= KAPPA_CAP))
 
 
+def _check_concentration(value, name: str) -> None:
+    """ValueError unless every entry of ``value`` lies in [0, KAPPA_CAP]; NaN and inf fail."""
+    k = np.asarray(value, dtype=float)
+    if not ((k >= 0.0) & (k <= KAPPA_CAP)).all():  # NaN compares False
+        raise ValueError(f"{name} must lie in [0, {KAPPA_CAP}], got {value}")
+
+
 def _order_count(nu_max: float) -> int:
     """The first order K with rho_K(nu_max) <= _RHO_FLOOR.
 
     rho_m(nu) falls with m and rises with nu, so no order from K on
-    exceeds the floor at any nu <= nu_max. The search scans orders
-    [0, 64), then [64, 128), [128, 256), ..., each order once. nu_max
-    must lie in [0, KAPPA_CAP]: at NaN or inf no order meets the floor.
+    exceeds the floor at any nu <= nu_max. K is read off the one-nu rows
+    of ``_kernel_coefficients`` at S = 64, 128, ... orders, accurate below S
+    since each starts from the exact pair I_S / I_{S-1}. nu_max must lie
+    in [0, KAPPA_CAP]: at NaN or inf no order meets the floor.
     """
-    if not 0.0 <= nu_max <= KAPPA_CAP:  # also catches NaN
-        raise ValueError(f"nu_max must lie in [0, {KAPPA_CAP}], got {nu_max}")
-    lo, hi = 0, 64
+    _check_concentration(nu_max, "nu_max")
+    size = 64
     while True:
-        tail = ive(np.arange(lo, hi), nu_max) / i0e(nu_max)
-        below = np.flatnonzero(tail <= _RHO_FLOOR)
+        below = np.flatnonzero(_kernel_coefficients(np.array([nu_max]), size)[0] <= _RHO_FLOOR)
         if below.size:
-            return lo + int(below[0])
-        lo, hi = hi, 2 * hi
+            return int(below[0])
+        size *= 2
 
 
 def _kernel_coefficients(nus: np.ndarray, orders: int | None = None) -> np.ndarray:

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import catalogue
 from .em import EmConfig
-from .kde import KdeFit, kde_grid
+from .kde import KdeFit, _check_gridsize, kde_grid
 from .models import TWO_PI, wrap_angle
 from .rng import derive_seed, make_rng
 from .selectors import LCV, ORACLE, PI, RT
@@ -92,11 +92,11 @@ def _parse_selectors(raw: str, allowed=(RT, PI, LCV)) -> tuple[str, ...]:
     return tuple(dict.fromkeys(names))
 
 
-def _power_of_two(text: str) -> int:
-    value = int(text)
-    if value < 8 or value & (value - 1):
-        raise argparse.ArgumentTypeError(f"gridsize must be a power of two >= 8, got {value}")
-    return value
+def _gridsize(text: str) -> int:
+    try:
+        return _check_gridsize(int(text))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def build_parser() -> _Parser:
@@ -107,7 +107,7 @@ def build_parser() -> _Parser:
     p_fit.add_argument("input", help="angle file, one value per line")
     p_fit.add_argument("--degrees", action="store_true", help="input angles are degrees")
     p_fit.add_argument("--selectors", default="rt,pi,lcv", help="comma list of rt,pi,lcv")
-    p_fit.add_argument("--gridsize", type=_power_of_two, default=1024)
+    p_fit.add_argument("--gridsize", type=_gridsize, default=1024)
     p_fit.add_argument("--rose-bins", type=int, default=18)
     p_fit.add_argument("--seed", type=int, default=0)
     p_fit.add_argument("--output-dir", default=".")
@@ -125,7 +125,7 @@ def build_parser() -> _Parser:
     p_sim.add_argument("--replicates", type=int, default=None)
     p_sim.add_argument("--selectors", default="rt,pi,lcv")
     p_sim.add_argument("--seed", type=int, default=ExperimentConfig().base_seed)
-    p_sim.add_argument("--gridsize", type=_power_of_two, default=1024)
+    p_sim.add_argument("--gridsize", type=_gridsize, default=1024)
     p_sim.add_argument("--output-dir", default=".")
     p_sim.add_argument("--workers", type=int, default=1, help="parallel replicate workers")
     p_sim.add_argument(

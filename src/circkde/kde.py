@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import i0e
 
-from .bessel import KAPPA_CAP, _kernel_coefficients, _order_count
+from .bessel import _check_concentration, _kernel_coefficients, _order_count
 from .models import TWO_PI, _as_sample, wrap_angle
 
 # Large enough for 1e-8 quadrature agreement on every density in the study.
@@ -62,8 +62,7 @@ class KdeFit:
 
     def __post_init__(self):
         arr = _as_sample(self.sample)
-        if not 0.0 <= self.nu <= KAPPA_CAP:
-            raise ValueError(f"nu must lie in [0, {KAPPA_CAP}], got {self.nu}")
+        _check_concentration(self.nu, "nu")
         object.__setattr__(self, "sample", wrap_angle(arr))
 
     @property
@@ -79,9 +78,7 @@ class DensityGrid:
 
     def __post_init__(self):
         arr = np.asarray(self.values, dtype=float)
-        m = arr.size
-        if m < 8 or m & (m - 1):
-            raise ValueError(f"gridsize must be a power of two >= 8, got {m}")
+        _check_gridsize(arr.size)
         object.__setattr__(self, "values", arr)
 
     @property
@@ -95,6 +92,13 @@ class DensityGrid:
     def integral(self) -> float:
         """Periodic trapezoid integral over [0, 2 pi)."""
         return float(self.values.sum() * (TWO_PI / self.gridsize))
+
+
+def _check_gridsize(gridsize) -> int:
+    """``gridsize``, unchanged; ValueError unless it is an integer power of two >= 8."""
+    if not isinstance(gridsize, (int, np.integer)) or gridsize < 8 or gridsize & (gridsize - 1):
+        raise ValueError(f"gridsize must be a power of two >= 8, got {gridsize!r}")
+    return gridsize
 
 
 def grid_thetas(gridsize: int) -> np.ndarray:
@@ -133,8 +137,7 @@ def kde_grid(fit: KdeFit, gridsize: int = DEFAULT_GRIDSIZE) -> DensityGrid:
     about as much as the G x n kernel values and the whole grid is summed
     directly.
     """
-    if gridsize < 8:
-        raise ValueError(f"gridsize must be >= 8, got {gridsize}")
+    _check_gridsize(gridsize)
     thetas = grid_thetas(gridsize)
     orders = _order_count(fit.nu)
     if _SPECTRAL_ORDERS * orders > gridsize:
@@ -229,8 +232,7 @@ def oracle_mise_curve(samples, truth: DensityGrid, nus) -> np.ndarray:
     nus = np.asarray(nus, dtype=float)
     if nus.ndim != 1 or nus.size == 0:
         raise ValueError("nus must be a non-empty one-dimensional array")
-    if not np.all((nus >= 0.0) & (nus <= KAPPA_CAP)):
-        raise ValueError(f"nu must lie in [0, {KAPPA_CAP}]")
+    _check_concentration(nus, "nu")
     g = truth.gridsize
     half = g // 2
     rho = _kernel_coefficients(nus)

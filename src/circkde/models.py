@@ -17,12 +17,12 @@ costs most of the package's import time.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy.special import i0e, ndtr
 
-from .bessel import KAPPA_CAP, _kernel_coefficients
+from .bessel import _check_concentration, _kernel_coefficients
 
 TWO_PI = 2.0 * math.pi
 
@@ -66,8 +66,22 @@ def _ret(values: np.ndarray, scalar: bool):
     return float(values[0]) if scalar else values
 
 
+class _Family:
+    """Base of the primitive families: every parameter must be a finite number.
+
+    Each family's own checks run after this one. A NaN parameter would give
+    a NaN density, and WrappedSkewNormal(eta=inf) one that is 0 everywhere.
+    """
+
+    def __post_init__(self):
+        values = {f.name: getattr(self, f.name) for f in fields(self)}
+        bad = {name: v for name, v in values.items() if not math.isfinite(v)}
+        if bad:
+            raise ValueError(f"parameters must be finite, got {bad}")
+
+
 @dataclass(frozen=True)
-class CircularUniform:
+class CircularUniform(_Family):
     """Uniform density 1/(2*pi) on the circle."""
 
     def density(self, theta):
@@ -79,16 +93,16 @@ class CircularUniform:
 
 
 @dataclass(frozen=True)
-class VonMises:
+class VonMises(_Family):
     """von Mises vM(mu, kappa): mean direction mu, concentration kappa."""
 
     mu: float
     kappa: float
 
     def __post_init__(self):
+        super().__post_init__()
         object.__setattr__(self, "mu", wrap_angle(self.mu))
-        if not 0.0 <= self.kappa <= KAPPA_CAP:
-            raise ValueError(f"kappa must lie in [0, {KAPPA_CAP}], got {self.kappa}")
+        _check_concentration(self.kappa, "kappa")
 
     def density(self, theta):
         arr, scalar = _as_theta(theta)
@@ -102,13 +116,14 @@ class VonMises:
 
 
 @dataclass(frozen=True)
-class Cardioid:
+class Cardioid(_Family):
     """Cardioid(mu, rho): cosine perturbation of the uniform, |rho| <= 1/2."""
 
     mu: float
     rho: float
 
     def __post_init__(self):
+        super().__post_init__()
         object.__setattr__(self, "mu", wrap_angle(self.mu))
         if abs(self.rho) > 0.5:
             raise ValueError(f"|rho| must be <= 1/2, got {self.rho}")
@@ -135,13 +150,14 @@ class Cardioid:
 
 
 @dataclass(frozen=True)
-class WrappedNormal:
+class WrappedNormal(_Family):
     """WN(mu, rho): N(mu, sigma^2) wrapped onto the circle, rho = exp(-sigma^2/2)."""
 
     mu: float
     rho: float
 
     def __post_init__(self):
+        super().__post_init__()
         object.__setattr__(self, "mu", wrap_angle(self.mu))
         if not 0.0 <= self.rho < 1.0:
             raise ValueError(f"rho must lie in [0, 1), got {self.rho}")
@@ -166,13 +182,14 @@ class WrappedNormal:
 
 
 @dataclass(frozen=True)
-class WrappedCauchy:
+class WrappedCauchy(_Family):
     """WC(mu, rho), density (1 - rho^2) / (2 pi (1 + rho^2 - 2 rho cos(theta - mu)))."""
 
     mu: float
     rho: float
 
     def __post_init__(self):
+        super().__post_init__()
         object.__setattr__(self, "mu", wrap_angle(self.mu))
         if not 0.0 <= self.rho < 1.0:
             raise ValueError(f"rho must lie in [0, 1), got {self.rho}")
@@ -191,7 +208,7 @@ class WrappedCauchy:
 
 
 @dataclass(frozen=True)
-class WrappedSkewNormal:
+class WrappedSkewNormal(_Family):
     """WSN(xi, eta, lam): skew-Normal wrapped onto the circle (Pewsey's construction)."""
 
     xi: float
@@ -199,6 +216,7 @@ class WrappedSkewNormal:
     lam: float
 
     def __post_init__(self):
+        super().__post_init__()
         object.__setattr__(self, "xi", wrap_angle(self.xi))
         if self.eta <= 0:
             raise ValueError(f"eta must be positive, got {self.eta}")
@@ -240,8 +258,7 @@ class VonMisesMixture:
             raise ValueError("mixture weights must be positive")
         if abs(w.sum() - 1.0) > 1e-12:
             raise ValueError(f"mixture weights must sum to 1, got {w.sum()!r}")
-        if np.any(k < 0) or np.any(k > KAPPA_CAP):
-            raise ValueError(f"concentrations must lie in [0, {KAPPA_CAP}]")
+        _check_concentration(k, "concentrations")
         self.weights = w
         self.mus = wrap_angle(m)
         self.kappas = k

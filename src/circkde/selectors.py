@@ -108,7 +108,7 @@ def golden_section_minimize(f, lo: float, hi: float, rel_tol: float = 1e-4):
     return x, f(x), evals + 1
 
 
-def minimize_on_domain(f, domain: NuSearchDomain, rel_tol: float = 1e-4):
+def minimize_on_domain(f, domain: NuSearchDomain):
     """Probe the domain on a log grid, then golden-section around the best probe.
 
     Never returns a point worse than the best probe.
@@ -118,7 +118,7 @@ def minimize_on_domain(f, domain: NuSearchDomain, rel_tol: float = 1e-4):
     best = int(np.argmin(values))
     lo = probes[max(best - 1, 0)]
     hi = probes[min(best + 1, probes.size - 1)]
-    x, fx, evals = golden_section_minimize(f, lo, hi, rel_tol)
+    x, fx, evals = golden_section_minimize(f, lo, hi)
     if values[best] < fx:
         x, fx = float(probes[best]), float(values[best])
     trace = {

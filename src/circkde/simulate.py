@@ -22,6 +22,7 @@ import numpy as np
 from . import catalogue
 from .em import EmConfig
 from .kde import DEFAULT_GRIDSIZE, KdeFit, density_grid_of, ise, kde_grid, oracle_mise_curve
+from .kde import _check_gridsize
 from .rng import derive_seed, make_rng
 from .selectors import (
     LCV,
@@ -59,11 +60,17 @@ class ExperimentConfig:
     em: EmConfig = field(default_factory=EmConfig)
 
     def __post_init__(self):
-        if self.replicates < 1:
-            raise ValueError("replicates must be >= 1")
+        if not isinstance(self.replicates, (int, np.integer)) or self.replicates < 1:
+            raise ValueError(f"replicates must be >= 1 and an integer, got {self.replicates!r}")
+        if not isinstance(self.base_seed, (int, np.integer)):
+            raise ValueError(f"base_seed must be an integer, got {self.base_seed!r}")
+        _check_gridsize(self.gridsize)
         empty = [k for k in ("models", "sample_sizes", "selectors") if not getattr(self, k)]
         if empty:  # a study of no cells would pass any reference gate
             raise ValueError(f"{', '.join(empty)} must not be empty")
+        non_integer = [n for n in self.sample_sizes if not isinstance(n, (int, np.integer))]
+        if non_integer:
+            raise ValueError(f"sample sizes must be integers, got {non_integer}")
         small = [n for n in self.sample_sizes if n < 2]
         if small:  # LCV needs two observations
             raise ValueError(f"sample sizes must be >= 2, got {small}")
@@ -75,7 +82,8 @@ class ExperimentConfig:
             raise ValueError(f"unknown selectors: {bad}")
 
     def config_hash(self) -> str:
-        blob = json.dumps(asdict(self), sort_keys=True).encode()
+        # default=int: numpy integers, which the integer fields accept, are not JSON numbers.
+        blob = json.dumps(asdict(self), sort_keys=True, default=int).encode()
         return hashlib.sha256(blob).hexdigest()[:16]
 
 

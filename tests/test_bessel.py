@@ -16,6 +16,7 @@ from circkde.bessel import (
     _BATCH_NUS,
     _R_NODES,
     _RHO_FLOOR,
+    _check_concentration,
     _kernel_coefficients,
     _newton_start,
     _order_count,
@@ -292,11 +293,44 @@ class TestOrderCount:
         assert {64, 127} <= set(got)
         assert got[400] == 2799  # at KAPPA_CAP
 
+    @pytest.mark.parametrize("nu", [0.0, 5e-324])
+    def test_one_order_at_zero_and_least_subnormal_nu(self, nu):
+        # rho_1 is 0 at nu = 0 and underflows at 5e-324, where 2 m / nu overflows to inf.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _order_count(nu) == 1 == self.full_scan(nu)
+
+    def test_search_runs_on_recurrence_rows(self, monkeypatch):
+        # ive seeds each row with one pair of orders; it never scans a range of them.
+        calls = []
+
+        def spy(order, nu):
+            calls.append(np.ndim(order))
+            return ive(order, nu)
+
+        monkeypatch.setattr(bessel, "ive", spy)
+        assert _order_count(KAPPA_CAP) == 2799
+        assert calls and not any(calls)
+
     @pytest.mark.parametrize("nu", [math.nan, math.inf, -1.0, KAPPA_CAP * (1 + 1e-15)])
     def test_outside_range_rejected(self, nu):
         # At NaN or inf no order meets the floor, and the scan would grow without end.
         with pytest.raises(ValueError):
             _order_count(nu)
+
+
+class TestCheckConcentration:
+    @pytest.mark.parametrize("value", [0.0, 5e-324, 1.0, KAPPA_CAP, np.array([0.0, 3.0, KAPPA_CAP]), np.empty(0)])
+    def test_inside_accepted(self, value):
+        _check_concentration(value, "kappa")
+
+    @pytest.mark.parametrize(
+        "value",
+        [math.nan, math.inf, -math.inf, -5e-324, KAPPA_CAP * (1 + 1e-15), np.array([[1.0, 2.0], [math.nan, 3.0]])],
+    )
+    def test_outside_rejected(self, value):
+        with pytest.raises(ValueError, match=r"kappa must lie in \[0, 100000.0\]"):
+            _check_concentration(value, "kappa")
 
 
 # nu where rho is checked against mpmath: small, the ORACLE and LCV ranges, and the cap.

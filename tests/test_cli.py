@@ -324,3 +324,11 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             run_cli("fit", str(f), "--gridsize", "1000")
         assert exc.value.code == 1
+
+    @pytest.mark.parametrize("command", [("fit", "x.txt"), ("simulate",)])
+    @pytest.mark.parametrize("gridsize", ["4", "12", "1e3"])
+    def test_bad_gridsize_message(self, capsys, command, gridsize):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*command, "--gridsize", gridsize)
+        assert exc.value.code == 1
+        assert "--gridsize" in capsys.readouterr().err

@@ -111,6 +111,15 @@ class TestGrid:
         with pytest.raises(ValueError):
             DensityGrid(np.ones(100))  # not a power of two
 
+    @pytest.mark.parametrize("gridsize", [12, 100, 1024.0, 0, -8])
+    def test_kde_grid_rejects_gridsize_before_any_work(self, monkeypatch, gridsize):
+        def no_work(*args):
+            raise AssertionError("kde_grid sized its orders before checking the grid")
+
+        monkeypatch.setattr(kmod, "_order_count", no_work)
+        with pytest.raises(ValueError, match="power of two >= 8"):
+            kde_grid(KdeFit(np.array([0.1]), 1.0), gridsize)
+
     def test_chunked_matches_direct(self, monkeypatch):
         # The in-place passes over blocks of rows give the same bits as the
         # whole G x n kernel matrix built in one expression, at any block size.

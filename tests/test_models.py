@@ -175,6 +175,29 @@ class TestDensities:
             VonMisesMixture([0.6, 0.6], [0.0, 1.0], [1.0, 1.0])
 
 
+FAMILY_PARAMETERS = {
+    VonMises: {"mu": 0.5, "kappa": 2.0},
+    Cardioid: {"mu": 0.5, "rho": 0.3},
+    WrappedNormal: {"mu": 0.5, "rho": 0.6},
+    WrappedCauchy: {"mu": 0.5, "rho": 0.6},
+    WrappedSkewNormal: {"xi": 0.5, "eta": 1.0, "lam": 3.0},
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "neg-inf"])
+@pytest.mark.parametrize(
+    "family,name",
+    [(family, name) for family, params in FAMILY_PARAMETERS.items() for name in params],
+    ids=lambda x: x if isinstance(x, str) else x.__name__,
+)
+def test_family_non_finite_rejected(family, name, value):
+    # Before the shared check, NaN gave a NaN density, WrappedSkewNormal(eta=inf)
+    # one that is 0 everywhere, and VonMises(mu=inf) a RuntimeWarning from np.mod.
+    params = {**FAMILY_PARAMETERS[family], name: value}
+    with pytest.raises(ValueError, match="finite"):
+        family(**params)
+
+
 class TestSamplers:
     def test_empty_sample(self):
         assert get_model("M7").sample(0, make_rng(1)).size == 0

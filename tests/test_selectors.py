@@ -74,13 +74,13 @@ def lcv_evaluations(monkeypatch, sample):
     seen = []
     real = selectors.minimize_on_domain
 
-    def spy(f, domain, rel_tol=1e-4):
+    def spy(f, domain):
         def recorded(nu):
             value = f(nu)
             seen.append((nu, -value))
             return value
 
-        return real(recorded, domain, rel_tol)
+        return real(recorded, domain)
 
     monkeypatch.setattr(selectors, "minimize_on_domain", spy)
     return lcv(sample), seen
@@ -314,7 +314,7 @@ class TestLcv:
 
     def test_refuses_nu_beyond_table(self, monkeypatch, m2_100):
         # the table drops orders that are negligible only up to domain.nu_max
-        def overshoot(f, domain, rel_tol=1e-4):
+        def overshoot(f, domain):
             return f(domain.nu_max * 1.01), 0.0, {}
 
         monkeypatch.setattr(selectors, "minimize_on_domain", overshoot)

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 
+import numpy as np
 import pytest
 
 from circkde import simulate
@@ -99,6 +100,30 @@ class TestRunExperiment:
         for n in (1, 0, -5):  # LCV needs two observations
             with pytest.raises(ValueError, match="sample sizes must be >= 2"):
                 ExperimentConfig(sample_sizes=(100, n))
+
+    @pytest.mark.parametrize(
+        "change,message",
+        [
+            ({"gridsize": 100}, "gridsize must be a power of two"),
+            ({"gridsize": 4}, "gridsize must be a power of two"),
+            ({"gridsize": 1024.0}, "gridsize must be a power of two"),
+            ({"replicates": 2.5}, "replicates must be >= 1 and an integer"),
+            ({"sample_sizes": (100.5,)}, "sample sizes must be integers"),
+            ({"sample_sizes": (100, 250.0)}, "sample sizes must be integers"),
+            ({"base_seed": 1.5}, "base_seed must be an integer"),
+        ],
+    )
+    def test_config_rejected_at_construction(self, change, message):
+        # Each of these was accepted, and run_experiment failed on it later.
+        with pytest.raises(ValueError, match=message):
+            ExperimentConfig(**change)
+
+    def test_numpy_integers_hash_as_python_integers(self):
+        plain = ExperimentConfig(replicates=3, sample_sizes=(100,), em=EmConfig(seed=4))
+        numpy_ints = ExperimentConfig(
+            replicates=np.int64(3), sample_sizes=(np.int64(100),), em=EmConfig(seed=np.int64(4))
+        )
+        assert numpy_ints.config_hash() == plain.config_hash()
 
     @pytest.mark.parametrize("field", ["models", "sample_sizes", "selectors"])
     def test_empty_grid_rejected(self, field):
