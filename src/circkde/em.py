@@ -14,6 +14,7 @@ integer seed.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -116,11 +117,11 @@ def em_fit(sample, M: int, cfg: EmConfig | None = None) -> MixtureFit:
 class MixtureSelection:
     """Outcome of AIC selection over candidate component counts.
 
-    ``best`` is None when no candidate produced a valid fit with a finite
-    curvature integral (the no-valid-fit marker that triggers the
-    rule-of-thumb fallback downstream). ``convergence`` maps each fitted
-    candidate M to its best restart's ``(n_iter, converged)``, so fits
-    stopped at ``max_iter`` stay visible.
+    ``best`` is None when no candidate produced a valid fit (the
+    no-valid-fit marker that triggers the rule-of-thumb fallback
+    downstream). ``convergence`` maps each fitted candidate M to its best
+    restart's ``(n_iter, converged)``, so fits stopped at ``max_iter`` stay
+    visible.
     """
 
     best: MixtureFit | None
@@ -137,13 +138,13 @@ def select_reference_mixture(
 ) -> MixtureSelection:
     """Fit each candidate M and keep the minimum-AIC valid fit.
 
-    Candidates are dropped when the sample is too small for them, the EM
-    fit is degenerate, or the curvature integral of the fitted mixture is
-    not finite.
+    Candidates are dropped when the sample is too small or the EM fit is
+    degenerate. A valid fit's curvature is finite: |c_m| <= 1 and
+    m < K <= 2,799 bound it by sum m^4, about 3.5e16. A non-integer M raises TypeError.
     """
     arr = _as_sample(sample)
     cfg = cfg or EmConfig()
-    candidates = sorted(set(int(m) for m in candidate_Ms))
+    candidates = sorted(set(operator.index(m) for m in candidate_Ms))
     if not candidates:
         raise ValueError("candidate_Ms must be non-empty")
 
@@ -161,11 +162,7 @@ def select_reference_mixture(
         if not fit.valid:
             rejected[m] = fit.invalid_reason or "degenerate fit"
             continue
-        curv = curvature_integral(fit.mixture)
-        if not math.isfinite(curv):
-            rejected[m] = "curvature integral is not finite"
-            continue
-        eligible.append((fit.aic, m, fit, curv))
+        eligible.append((fit.aic, m, fit, curvature_integral(fit.mixture)))
 
     if not eligible:
         return MixtureSelection(None, None, aic_table, rejected, convergence)

@@ -1,10 +1,11 @@
 """Von Mises-kernel circular density estimation and the ISE functional.
 
-This module owns the estimator's evaluations. ``_kernel_blocks`` gives
-the direct kernel sums of the density grid and of LCV's guard rows, about
-``_CHUNK_CELLS`` cells at a time. The spectral form uses the estimator's
-Fourier coefficients phi_m rho_m(nu), with phi_m = mean(exp(-i m Theta))
-and rho_m(nu) = I_m(nu) / I_0(nu) the kernel's characteristic function
+This module owns the estimator's evaluations. ``_kernel_sums`` is the one
+direct kernel sum: ``kde_evaluate``, the density grid's direct cells, LCV's
+objective and its guard rows all take it, about ``_CHUNK_CELLS`` cells at a
+time. The spectral form uses the estimator's Fourier coefficients
+phi_m rho_m(nu), with phi_m = mean(exp(-i m Theta)) and
+rho_m(nu) = I_m(nu) / I_0(nu) the kernel's characteristic function
 (Mardia & Jupp 2000, Directional Statistics, sec. 3.5). Every harmonic
 cos/sin(m Theta), m < K, comes from two small tables (``_trig_table``):
 cos/sin(j Theta) for j < B = ceil(sqrt(K)) and cos/sin(g B Theta) for
@@ -117,10 +118,8 @@ def kde_evaluate(fit: KdeFit, theta):
     exp(-2 nu sin^2((theta - Theta_i) / 2)) / (2 pi exp(-nu) I_0(nu)).
     """
     arr = np.asarray(theta, dtype=float)
-    scalar = arr.ndim == 0
-    th = np.atleast_1d(arr)
-    vals = _kernel_mean(th, fit.sample, fit.nu)
-    return float(vals[0]) if scalar else vals
+    vals = _kernel_mean(np.atleast_1d(arr), fit.sample, fit.nu)
+    return float(vals[0]) if arr.ndim == 0 else vals
 
 
 def kde_grid(fit: KdeFit, gridsize: int = DEFAULT_GRIDSIZE) -> DensityGrid:
@@ -159,25 +158,24 @@ def ise(a: DensityGrid, b: DensityGrid) -> float:
 
 
 def _kernel_mean(thetas: np.ndarray, sample: np.ndarray, nu: float) -> np.ndarray:
-    out = np.empty(thetas.size)
-    for lo, hi, block in _kernel_blocks(thetas, sample, nu):
-        out[lo:hi] = block.mean(axis=1)
-    return out / (TWO_PI * i0e(nu))
+    return _kernel_sums(thetas, sample, nu) / sample.size / (TWO_PI * i0e(nu))
 
 
-def _kernel_blocks(points: np.ndarray, sample: np.ndarray, nu: float):
-    """Yield (lo, hi, block), block[i, j] = exp(-2 nu sin^2((points[lo + i] - sample[j]) / 2)).
+def _kernel_sums(points: np.ndarray, sample: np.ndarray, nu: float, self_rows=None) -> np.ndarray:
+    """S_i = sum_j exp(-2 nu sin^2((points[i] - sample[j]) / 2)), without term (i, self_rows[i]).
 
     cos d - 1 = -2 sin^2(d / 2), without the cancellation that costs
     nu * 1e-16 of absolute accuracy in the exponent at large nu. Halving
     before the subtraction keeps the passes over a block at five. They run
     in place on one buffer of about ``_CHUNK_CELLS`` cells (whole sample
-    rows), small enough to stay in cache between passes, so each block is
-    overwritten by the next.
+    rows), small enough to stay in cache between passes. A self-term is
+    zeroed rather than subtracted afterwards: the subtraction would cancel
+    any contribution below one ulp of 1.
     """
     half_points, half_sample = 0.5 * points, 0.5 * sample
     step = max(1, _CHUNK_CELLS // sample.size)
     buf = np.empty((min(step, points.size), sample.size))
+    out = np.empty(points.size)
     for lo in range(0, points.size, step):
         hi = min(lo + step, points.size)
         block = buf[: hi - lo]
@@ -186,7 +184,10 @@ def _kernel_blocks(points: np.ndarray, sample: np.ndarray, nu: float):
         np.square(block, out=block)
         np.multiply(block, -2.0 * nu, out=block)
         np.exp(block, out=block)
-        yield lo, hi, block
+        if self_rows is not None:
+            block[np.arange(hi - lo), self_rows[lo:hi]] = 0.0
+        out[lo:hi] = block.sum(axis=1)
+    return out
 
 
 def _table_layout(orders: int) -> tuple[int, int, int]:

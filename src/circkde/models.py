@@ -1,7 +1,9 @@
 """Circular distribution families: densities, exact samplers, curvature.
 
-All angles are radians on [0, 2*pi). Densities accept scalars or arrays
-and are vectorized over theta. Samplers draw from an explicit
+All angles are radians on [0, 2*pi). ``density`` accepts a scalar or an
+array around each family's or mixture's ``_density`` of a 1-d array;
+``_Family`` wraps every location parameter, and both mixture types share
+``_check_weights``. Samplers draw from an explicit
 ``numpy.random.Generator`` and are deterministic given its state.
 ``curvature_integral`` sums a von Mises mixture's curvature as a series
 in the Bessel ratios rho_m that ``bessel`` owns.
@@ -57,20 +59,33 @@ def _normal_pdf(x):
     return np.exp(-(x**2) / 2.0) / _SQRT_TWO_PI
 
 
-def _as_theta(theta) -> tuple[np.ndarray, bool]:
-    arr = np.asarray(theta, dtype=float)
-    return np.atleast_1d(arr), arr.ndim == 0
+def _check_weights(weights) -> np.ndarray:
+    """Weights as an array; ValueError unless finite, positive and summing to 1 within 1e-12."""
+    w = np.atleast_1d(np.asarray(weights, dtype=float))
+    if not (np.isfinite(w).all() and (w > 0).all()):
+        raise ValueError(f"mixture weights must be finite and positive, got {w}")
+    if abs(w.sum() - 1.0) > 1e-12:
+        raise ValueError(f"mixture weights must sum to 1, got {w.sum()!r}")
+    return w
 
 
-def _ret(values: np.ndarray, scalar: bool):
-    return float(values[0]) if scalar else values
+class _Density:
+    """``density(theta)`` for a scalar or an array, from ``_density`` of a 1-d array."""
+
+    __slots__ = ()
+
+    def density(self, theta):
+        arr = np.asarray(theta, dtype=float)
+        vals = self._density(np.atleast_1d(arr))
+        return float(vals[0]) if arr.ndim == 0 else vals
 
 
-class _Family:
+class _Family(_Density):
     """Base of the primitive families: every parameter must be a finite number.
 
     Each family's own checks run after this one. A NaN parameter would give
     a NaN density, and WrappedSkewNormal(eta=inf) one that is 0 everywhere.
+    The location parameter, ``mu`` or ``xi``, is wrapped into [0, 2 pi).
     """
 
     def __post_init__(self):
@@ -78,15 +93,16 @@ class _Family:
         bad = {name: v for name, v in values.items() if not math.isfinite(v)}
         if bad:
             raise ValueError(f"parameters must be finite, got {bad}")
+        for name in {"mu", "xi"} & values.keys():
+            object.__setattr__(self, name, wrap_angle(values[name]))
 
 
 @dataclass(frozen=True)
 class CircularUniform(_Family):
     """Uniform density 1/(2*pi) on the circle."""
 
-    def density(self, theta):
-        arr, scalar = _as_theta(theta)
-        return _ret(np.full(arr.shape, 1.0 / TWO_PI), scalar)
+    def _density(self, arr):
+        return np.full(arr.shape, 1.0 / TWO_PI)
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         return rng.uniform(0.0, TWO_PI, size=n)
@@ -101,14 +117,11 @@ class VonMises(_Family):
 
     def __post_init__(self):
         super().__post_init__()
-        object.__setattr__(self, "mu", wrap_angle(self.mu))
         _check_concentration(self.kappa, "kappa")
 
-    def density(self, theta):
-        arr, scalar = _as_theta(theta)
+    def _density(self, arr):
         vals = np.exp(np.sin(0.5 * arr - 0.5 * self.mu) ** 2 * (-2.0 * self.kappa))
-        vals /= TWO_PI * i0e(self.kappa)
-        return _ret(vals, scalar)
+        return vals / (TWO_PI * i0e(self.kappa))
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         # numpy's generator implements the Best-Fisher rejection scheme.
@@ -124,14 +137,11 @@ class Cardioid(_Family):
 
     def __post_init__(self):
         super().__post_init__()
-        object.__setattr__(self, "mu", wrap_angle(self.mu))
         if abs(self.rho) > 0.5:
             raise ValueError(f"|rho| must be <= 1/2, got {self.rho}")
 
-    def density(self, theta):
-        arr, scalar = _as_theta(theta)
-        vals = (1.0 + 2.0 * self.rho * np.cos(arr - self.mu)) / TWO_PI
-        return _ret(vals, scalar)
+    def _density(self, arr):
+        return (1.0 + 2.0 * self.rho * np.cos(arr - self.mu)) / TWO_PI
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         # Rejection from the uniform envelope; acceptance rate 1/(1 + 2 rho).
@@ -158,7 +168,6 @@ class WrappedNormal(_Family):
 
     def __post_init__(self):
         super().__post_init__()
-        object.__setattr__(self, "mu", wrap_angle(self.mu))
         if not 0.0 <= self.rho < 1.0:
             raise ValueError(f"rho must lie in [0, 1), got {self.rho}")
 
@@ -166,14 +175,12 @@ class WrappedNormal(_Family):
     def sigma(self) -> float:
         return math.sqrt(-2.0 * math.log(self.rho)) if self.rho > 0 else math.inf
 
-    def density(self, theta):
-        arr, scalar = _as_theta(theta)
+    def _density(self, arr):
         if self.rho == 0.0:
-            return _ret(np.full(arr.shape, 1.0 / TWO_PI), scalar)
+            return np.full(arr.shape, 1.0 / TWO_PI)
         ks = TWO_PI * np.arange(-WRAP_TERMS, WRAP_TERMS + 1)
         x = arr[:, None] - self.mu + ks[None, :]
-        vals = _normal_pdf(x / self.sigma).sum(axis=1) / self.sigma
-        return _ret(vals, scalar)
+        return _normal_pdf(x / self.sigma).sum(axis=1) / self.sigma
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         if self.rho == 0.0:
@@ -190,15 +197,12 @@ class WrappedCauchy(_Family):
 
     def __post_init__(self):
         super().__post_init__()
-        object.__setattr__(self, "mu", wrap_angle(self.mu))
         if not 0.0 <= self.rho < 1.0:
             raise ValueError(f"rho must lie in [0, 1), got {self.rho}")
 
-    def density(self, theta):
-        arr, scalar = _as_theta(theta)
+    def _density(self, arr):
         c = np.cos(arr - self.mu)
-        vals = (1.0 - self.rho**2) / (TWO_PI * (1.0 + self.rho**2 - 2.0 * self.rho * c))
-        return _ret(vals, scalar)
+        return (1.0 - self.rho**2) / (TWO_PI * (1.0 + self.rho**2 - 2.0 * self.rho * c))
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         if self.rho == 0.0:
@@ -217,16 +221,13 @@ class WrappedSkewNormal(_Family):
 
     def __post_init__(self):
         super().__post_init__()
-        object.__setattr__(self, "xi", wrap_angle(self.xi))
         if self.eta <= 0:
             raise ValueError(f"eta must be positive, got {self.eta}")
 
-    def density(self, theta):
-        arr, scalar = _as_theta(theta)
+    def _density(self, arr):
         ks = TWO_PI * np.arange(-WRAP_TERMS, WRAP_TERMS + 1)
         z = (arr[:, None] - self.xi + ks[None, :]) / self.eta
-        vals = (2.0 / self.eta) * (_normal_pdf(z) * ndtr(self.lam * z)).sum(axis=1)
-        return _ret(vals, scalar)
+        return (2.0 / self.eta) * (_normal_pdf(z) * ndtr(self.lam * z)).sum(axis=1)
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         # delta-construction: Z = delta |U0| + sqrt(1 - delta^2) U1.
@@ -237,7 +238,7 @@ class WrappedSkewNormal(_Family):
         return wrap_angle(self.xi + self.eta * z)
 
 
-class VonMisesMixture:
+class VonMisesMixture(_Density):
     """Finite mixture of von Mises densities.
 
     Parameters are stored as flat arrays (weights, mean directions,
@@ -247,19 +248,14 @@ class VonMisesMixture:
     __slots__ = ("weights", "mus", "kappas")
 
     def __init__(self, weights, mus, kappas):
-        w = np.atleast_1d(np.asarray(weights, dtype=float))
         m = np.atleast_1d(np.asarray(mus, dtype=float))
         k = np.atleast_1d(np.asarray(kappas, dtype=float))
-        if not (w.size == m.size == k.size) or w.size == 0:
+        if not (np.size(weights) == m.size == k.size) or m.size == 0:
             raise ValueError("weights, mus and kappas must share a positive length")
-        if not (np.isfinite(w).all() and np.isfinite(m).all() and np.isfinite(k).all()):
-            raise ValueError("weights, mus and kappas must be finite")
-        if np.any(w <= 0):
-            raise ValueError("mixture weights must be positive")
-        if abs(w.sum() - 1.0) > 1e-12:
-            raise ValueError(f"mixture weights must sum to 1, got {w.sum()!r}")
+        self.weights = _check_weights(weights)
+        if not (np.isfinite(m).all() and np.isfinite(k).all()):
+            raise ValueError("mus and kappas must be finite")
         _check_concentration(k, "concentrations")
-        self.weights = w
         self.mus = wrap_angle(m)
         self.kappas = k
 
@@ -274,15 +270,14 @@ class VonMisesMixture:
         )
         return f"VonMisesMixture({parts})"
 
-    def density(self, theta):
-        arr, scalar = _as_theta(theta)
+    def _density(self, arr):
         sind = np.sin(0.5 * arr[:, None] - 0.5 * self.mus[None, :])
         comp = np.exp(sind**2 * (-2.0 * self.kappas)) / (TWO_PI * i0e(self.kappas))
-        return _ret(comp @ self.weights, scalar)
+        return comp @ self.weights
 
 
 @dataclass(frozen=True)
-class ModelSpec:
+class ModelSpec(_Density):
     """A catalogue model: weighted mixture of primitive circular distributions."""
 
     id: str
@@ -292,15 +287,10 @@ class ModelSpec:
     def __post_init__(self):
         if len(self.weights) != len(self.parts) or not self.parts:
             raise ValueError("weights and parts must share a positive length")
-        if abs(sum(self.weights) - 1.0) > 1e-12:
-            raise ValueError(f"model {self.id}: weights must sum to 1")
+        _check_weights(self.weights)
 
-    def density(self, theta):
-        arr, scalar = _as_theta(theta)
-        vals = np.zeros(arr.shape)
-        for w, part in zip(self.weights, self.parts):
-            vals += w * np.atleast_1d(part.density(arr))
-        return _ret(vals, scalar)
+    def _density(self, arr):
+        return sum(w * np.atleast_1d(p.density(arr)) for w, p in zip(self.weights, self.parts))
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         if n < 0:

@@ -11,7 +11,7 @@ Three data-driven selectors, which ``simulate.select`` dispatches by name:
                       leave-one-out sums taken from ``kde``'s two
                       trigonometric tables (``kde._cosine_sums``): O((B + Q) n)
                       memory, B + Q about 2 sqrt(K), and O(K n) time per nu,
-                      not O(n^2). Its guard rows use ``kde``'s kernel blocks.
+                      not O(n^2). Its guard rows use ``kde._kernel_sums``.
 
 The simulation oracle's ISE curve is ``kde.oracle_mise_curve``.
 """
@@ -28,7 +28,7 @@ from .bessel import KAPPA_CAP, _kernel_coefficients, _order_count
 from .em import EmConfig, fit_single_von_mises, select_reference_mixture
 # Unused here, but perfbench/tracing.py wraps selectors.kde_grid and selectors.ise.
 from .kde import ise, kde_grid  # noqa: F401
-from .kde import _cosine_sums, _kernel_blocks
+from .kde import _cosine_sums, _kernel_sums
 from .models import TWO_PI, _as_sample
 
 RT = "RT"
@@ -187,8 +187,8 @@ def plug_in(
 ) -> BandwidthResult:
     """Plug-in bandwidth: mixture reference, curvature integral, AMISE minimum.
 
-    When every candidate reference mixture fails (degenerate EM fit or
-    non-finite curvature) the rule-of-thumb bandwidth is returned with the
+    When every candidate reference mixture fails (a degenerate EM fit, or
+    too few observations) the rule-of-thumb bandwidth is returned with the
     fallback flag set. On both paths ``diagnostics["em"]`` maps each
     fitted candidate M to its EM ``(n_iter, converged)``.
     """
@@ -231,7 +231,7 @@ def lcv_objective(sample, nu: float) -> float:
     Computed by the direct O(n^2) kernel sum, in blocks of rows.
     """
     arr = _as_sample(sample)
-    return _lcv_from_sums(_direct_sums(arr, np.arange(arr.size), nu), arr.size, nu)
+    return _lcv_from_sums(_kernel_sums(arr, arr, nu, np.arange(arr.size)), arr.size, nu)
 
 
 def lcv(sample, domain: NuSearchDomain | None = None) -> BandwidthResult:
@@ -269,7 +269,7 @@ def lcv(sample, domain: NuSearchDomain | None = None) -> BandwidthResult:
         sums = i0e(nu) * cosine_sums(coef) - 1.0
         low = np.flatnonzero(sums < _DIRECT_BELOW)
         if low.size:
-            sums[low] = _direct_sums(arr, low, nu)
+            sums[low] = _kernel_sums(arr[low], arr, nu, low)
             direct_rows += low.size
         return -_lcv_from_sums(sums, n, nu)
 
@@ -280,17 +280,6 @@ def lcv(sample, domain: NuSearchDomain | None = None) -> BandwidthResult:
         objective=-neg,
         diagnostics={"optimizer": trace, "orders": orders, "direct_rows": direct_rows},
     )
-
-
-def _direct_sums(arr: np.ndarray, rows: np.ndarray, nu: float) -> np.ndarray:
-    """sum over j != i of exp(nu (cos(Theta_i - Theta_j) - 1)), for each i in rows."""
-    out = np.empty(rows.size)
-    for lo, hi, block in _kernel_blocks(arr[rows], arr, nu):
-        # Zero the self-term rather than subtracting it afterwards: the
-        # subtraction would cancel any contribution below one ulp of 1.
-        block[np.arange(hi - lo), rows[lo:hi]] = 0.0
-        out[lo:hi] = block.sum(axis=1)
-    return out
 
 
 def _lcv_from_sums(sums: np.ndarray, n: int, nu: float) -> float:

@@ -65,9 +65,6 @@ class ExperimentConfig:
         if not isinstance(self.base_seed, (int, np.integer)):
             raise ValueError(f"base_seed must be an integer, got {self.base_seed!r}")
         _check_gridsize(self.gridsize)
-        empty = [k for k in ("models", "sample_sizes", "selectors") if not getattr(self, k)]
-        if empty:  # a study of no cells would pass any reference gate
-            raise ValueError(f"{', '.join(empty)} must not be empty")
         non_integer = [n for n in self.sample_sizes if not isinstance(n, (int, np.integer))]
         if non_integer:
             raise ValueError(f"sample sizes must be integers, got {non_integer}")
@@ -80,6 +77,12 @@ class ExperimentConfig:
         bad = [s for s in self.selectors if s not in SELECTORS]
         if bad:
             raise ValueError(f"unknown selectors: {bad}")
+        for name in ("models", "sample_sizes", "selectors"):
+            values = getattr(self, name)
+            if not values:  # a study of no cells would pass any reference gate
+                raise ValueError(f"{name} must not be empty")
+            if len(set(values)) < len(values):  # each copy would run and be gated again
+                raise ValueError(f"{name} must not repeat an entry, got {values!r}")
 
     def config_hash(self) -> str:
         # default=int: numpy integers, which the integer fields accept, are not JSON numbers.

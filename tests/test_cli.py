@@ -270,6 +270,16 @@ class TestSimulateCommand:
         assert f"circkde: error: {field} must not be empty" in capsys.readouterr().err
         assert not (tmp_path / "simulation_report.json").exists()
 
+    @pytest.mark.parametrize(
+        "grid, field", [("--models=M2,M2", "models"), ("--sizes=100,250,100", "sample_sizes")]
+    )
+    def test_repeated_entry_rejected(self, tmp_path, capsys, grid, field):
+        # each copy would run as its own cell and be gated again
+        code = run_cli("simulate", grid, "--replicates", "2", "--output-dir", str(tmp_path))
+        assert code == 1
+        assert f"circkde: error: {field} must not repeat an entry" in capsys.readouterr().err
+        assert not (tmp_path / "simulation_report.json").exists()
+
 
 def run_python(*args):
     """A fresh interpreter that imports circkde from the tree under test."""

@@ -22,7 +22,6 @@ from circkde.kde import (
 )
 from circkde.models import TWO_PI, VonMises, VonMisesMixture, wrap_angle
 from circkde.rng import make_rng
-from circkde.selectors import _direct_sums
 
 
 @pytest.fixture(scope="module")
@@ -121,16 +120,19 @@ class TestGrid:
             kde_grid(KdeFit(np.array([0.1]), 1.0), gridsize)
 
     def test_chunked_matches_direct(self, monkeypatch):
-        # The in-place passes over blocks of rows give the same bits as the
-        # whole G x n kernel matrix built in one expression, at any block size.
+        # _kernel_sums' in-place passes over blocks of rows give the same bits
+        # as the whole G x n kernel matrix built in one expression, at any
+        # block size, and so does _kernel_mean built on them.
         sample = get_model("M7").sample(600, make_rng(2, 7))
         fit = KdeFit(sample, 8.0)
         thetas = grid_thetas(256)
         d = 0.5 * thetas[:, None] - 0.5 * fit.sample[None, :]
-        direct = np.exp(np.sin(d) ** 2 * (-2.0 * fit.nu)).mean(axis=1) / (TWO_PI * i0e(fit.nu))
-        np.testing.assert_array_equal(kmod._kernel_mean(thetas, fit.sample, fit.nu), direct)
-        monkeypatch.setattr(kmod, "_CHUNK_CELLS", 4096)
-        np.testing.assert_array_equal(kmod._kernel_mean(thetas, fit.sample, fit.nu), direct)
+        w = np.exp(np.sin(d) ** 2 * (-2.0 * fit.nu))
+        sums, direct = w.sum(axis=1), w.mean(axis=1) / (TWO_PI * i0e(fit.nu))
+        for cells in (kmod._CHUNK_CELLS, 4096):
+            monkeypatch.setattr(kmod, "_CHUNK_CELLS", cells)
+            np.testing.assert_array_equal(kmod._kernel_sums(thetas, fit.sample, fit.nu), sums)
+            np.testing.assert_array_equal(kmod._kernel_mean(thetas, fit.sample, fit.nu), direct)
 
     def test_large_nu_matches_longdouble(self):
         # exp(nu (cos d - 1)) loses nu * 1e-16 in the exponent to cancellation;
@@ -157,7 +159,8 @@ def kernel_means(sample, nus, rows=256):
 
     The rows of the 1024- and 64-node grids are every 4th and 64th row:
     their nodes are the same floats. Per row and nu the passes are the
-    ones ``_kernel_blocks`` makes, so the bits are the same.
+    ones ``_kernel_sums`` makes, and the mean divides their sum by n, so
+    the bits are the same.
     """
     g = CONTRACT_SIZES[-1]
     half_thetas, half_sample = 0.5 * grid_thetas(g), 0.5 * sample
@@ -319,11 +322,13 @@ class TestBlocks:
     def test_direct_sums(self, small_blocks, nu):
         # descending and strided, so block k's rows are not rows k*4 .. k*4+3
         rows = np.arange(3, small_blocks.size, 7)[::-1]
-        assert len(list(kmod._kernel_blocks(small_blocks[rows], small_blocks, nu))) == 9
+        assert (kmod._CHUNK_CELLS // small_blocks.size, rows.size) == (4, 36)  # 9 blocks of 4 rows
         d = 0.5 * small_blocks[rows, None] - 0.5 * small_blocks[None, :]
         w = np.exp(np.sin(d) ** 2 * (-2.0 * nu))
         ref = np.where(rows[:, None] == np.arange(small_blocks.size), 0.0, w).sum(axis=1)
-        np.testing.assert_array_equal(_direct_sums(small_blocks, rows, nu), ref)
+        got = kmod._kernel_sums(small_blocks[rows], small_blocks, nu, rows)
+        np.testing.assert_array_equal(got, ref)
+        np.testing.assert_array_equal(kmod._kernel_sums(small_blocks[rows], small_blocks, nu), w.sum(axis=1))
 
 
 class TestTrigTables:

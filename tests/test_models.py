@@ -26,6 +26,7 @@ from circkde.models import (
     WrappedCauchy,
     WrappedNormal,
     WrappedSkewNormal,
+    _check_weights,
     curvature_integral,
     wrap_angle,
 )
@@ -334,6 +335,24 @@ class TestCurvatureIntegral:
         assert m7_curv > 100 * flat
         assert m7_curv == pytest.approx(3.0021549559, rel=1e-6)
 
+    def test_finite_for_every_valid_mixture(self):
+        # select_reference_mixture keeps every valid fit's curvature unchecked:
+        # |c_m| <= 1 and m < K <= 2,799, so the series is at most sum m^4 / pi.
+        rng = make_rng(18)
+        mixes = [
+            VonMisesMixture(np.full(5, 0.2), rng.uniform(0.0, TWO_PI, 5), np.full(5, KAPPA_CAP)),
+            VonMisesMixture(np.full(5, 0.2), np.full(5, 1.0), np.full(5, KAPPA_CAP)),  # |c_m| = rho_m
+        ]
+        for _ in range(100):
+            m = int(rng.integers(1, 6))
+            kappas = np.exp(rng.uniform(math.log(1e-3), math.log(KAPPA_CAP), m))
+            mixes.append(VonMisesMixture(rng.dirichlet(np.ones(m)), rng.uniform(0.0, TWO_PI, m), kappas))
+        bound = (np.arange(1.0, 2799.0) ** 4).sum() / math.pi
+        for mix in mixes:
+            assert 0.0 <= curvature_integral(mix) <= bound, mix
+        # five coincident components at the cap are one von Mises: about 3.3e11
+        assert curvature_integral(mixes[1]) == pytest.approx(curvature_integral(VonMisesMixture([1.0], [1.0], [KAPPA_CAP])))
+
     def test_rotation_invariant(self):
         mix = VonMisesMixture([0.4, 0.6], [1.0, 3.5], [3.0, 7.0])
         base = curvature_integral(mix)
@@ -390,3 +409,24 @@ def test_mixture_weight_validation():
 def test_mixture_non_finite_rejected(weights, mus, kappas):
     with pytest.raises(ValueError, match="finite"):
         VonMisesMixture(weights, mus, kappas)
+
+
+@pytest.mark.parametrize(
+    "weights,match",
+    [((math.nan,), "finite"), ((1.5, -0.5), "positive"), ((1.0, 0.0), "positive"), ((0.5, 0.4), "sum to 1")],
+    ids=["nan", "negative", "zero", "short-sum"],
+)
+def test_weight_rule_shared_by_models_and_mixtures(weights, match):
+    # ModelSpec once accepted the first two: (nan,) gave a NaN density, and
+    # (1.5, -0.5) failed only when sampled.
+    parts = (VonMises(0.0, 1.0), WrappedCauchy(2.0, 0.5))[: len(weights)]
+    with pytest.raises(ValueError, match=match):
+        ModelSpec("X", weights, parts)
+    with pytest.raises(ValueError, match=match):
+        VonMisesMixture(weights, np.zeros(len(weights)), np.ones(len(weights)))
+
+
+@pytest.mark.parametrize("mid", MODEL_IDS)
+def test_catalogue_weights_pass_the_weight_rule(mid):
+    weights = get_model(mid).weights
+    np.testing.assert_array_equal(_check_weights(weights), weights)

@@ -229,6 +229,17 @@ class TestPlugIn:
         nu_rt = rule_of_thumb(m2_100).nu
         assert fx <= amise(nu_rt, n, curv) + 1e-12
 
+    @pytest.mark.parametrize("candidate", [2.7, 2.0, "2"])
+    def test_non_integer_candidate_rejected(self, m2_100, candidate):
+        # int() once fitted 2.7 as M = 2 and keyed its AIC row by 2
+        with pytest.raises(TypeError):
+            select_reference_mixture(m2_100, candidate_Ms=(candidate,), cfg=EmConfig(seed=14))
+
+    def test_numpy_integer_candidate_accepted(self, m2_100):
+        sel = select_reference_mixture(m2_100, candidate_Ms=(np.int64(1),), cfg=EmConfig(seed=14))
+        assert sel.best.M == 1
+        assert [type(m) for m in sel.aic_table] == [int]
+
     def test_rotation_invariant(self, m2_100):
         cfg = EmConfig(seed=15)
         a = plug_in(m2_100, cfg)

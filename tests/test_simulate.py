@@ -130,6 +130,16 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match=f"{field} must not be empty"):
             ExperimentConfig(**{field: ()})
 
+    @pytest.mark.parametrize(
+        "field,values",
+        [("models", ("M2", "M7", "M2")), ("sample_sizes", (100, np.int64(100))), ("selectors", (RT, RT))],
+    )
+    def test_repeated_entry_rejected(self, field, values):
+        # Each copy would run, be listed and be gated, while report.cell()
+        # returns only the first.
+        with pytest.raises(ValueError, match=f"{field} must not repeat an entry"):
+            ExperimentConfig(**{field: values})
+
 
 class TestSelect:
     @pytest.fixture(scope="class")
