@@ -87,18 +87,17 @@ def inverse_mean_resultant_ratio(rbar):
     1 - A/kappa - A^2) leaves each within 2.4e-14. Results are capped at
     ``KAPPA_CAP``; inputs at or above A(KAPPA_CAP) (in particular
     rbar >= 1) return the cap, which callers can detect with
-    :func:`is_saturated`. When every entry is interior, the whole input is
-    the Newton batch that the masked path would build from it, so both
-    give the same bits.
+    :func:`is_saturated`. When every entry of an array is interior, the
+    whole input is the Newton batch that the masked path would build from
+    it, so both give the same bits; a scalar takes the masked path.
     """
     r = np.asarray(rbar, dtype=float)
     lo = np.minimum.reduce(r, axis=None, initial=np.inf)
     if not lo >= 0:  # also catches NaN
         raise ValueError("rbar must be non-negative")
-    if r.size and lo > 0 and np.maximum.reduce(r, axis=None) < _A_AT_CAP:
+    if r.ndim and r.size and lo > 0 and np.maximum.reduce(r, axis=None) < _A_AT_CAP:
         # Every entry interior: no mask and no scatter.
-        k = _newton_inverse(r)
-        return float(k) if r.ndim == 0 else k
+        return _newton_inverse(r)
     r = np.atleast_1d(r)
     out = np.where(r > 0, KAPPA_CAP, 0.0)
     interior = (r > 0) & (r < _A_AT_CAP)
@@ -224,16 +223,28 @@ _R_NODES, _H_NODES = _start_table()
 
 def _newton_start(r: np.ndarray) -> np.ndarray:
     """A^{-1}(r) from the interpolated h table, for r in (0, A(KAPPA_CAP))."""
-    return r * np.interp(r, _R_NODES, _H_NODES) / (1.0 - r)
+    k = np.interp(r, _R_NODES, _H_NODES)
+    k *= r
+    k /= 1.0 - r
+    return k
 
 
 def _newton_inverse(r: np.ndarray) -> np.ndarray:
+    """One safeguarded Newton step from ``_newton_start``, computed in place."""
     k = _newton_start(r)
     a = i1e(k)
     a /= i0e(k)
     f = a - r
     if np.maximum.reduce(np.abs(f), axis=None) < _NEWTON_TOL:
         return k
-    step = f / (1.0 - a / k - a * a)
+    # f / A'(k), with A'(k) = 1 - A/k - A^2 evaluated left to right.
+    slope = np.divide(a, k)
+    np.subtract(1.0, slope, out=slope)
+    a *= a
+    slope -= a
+    f /= slope
     # A is increasing and concave; keep the iterate inside (0, cap].
-    return np.minimum(np.maximum(k - step, k * 0.1), KAPPA_CAP)
+    floor = k * 0.1
+    k -= f
+    np.maximum(k, floor, out=k)
+    return np.minimum(k, KAPPA_CAP, out=k)

@@ -1,14 +1,18 @@
 """Maximum-likelihood von Mises mixtures: EM fitting and AIC selection.
 
-The E-step works in log space: one matmul of each component's
-(kappa cos mu, kappa sin mu, log-normalizer) with the sample's
-(cos theta, sin theta, 1) gives every log density, and the log-sum-exp
-runs in place. The M-step updates weights, mean directions and
-concentrations from weighted resultants. The restarts of one fit advance
-in lockstep, so one iteration is a fixed, small number of numpy calls on
-(restarts, M) and (restarts, M, n) arrays. Initialization is a seeded
-farthest-point sweep over the data, so every fit is reproducible from an
-integer seed.
+Each EM iteration is one sweep over blocks of about ``_CHUNK_CELLS`` /
+(restarts M) observations (``_sweep``). One matmul of each component's
+(kappa cos mu, kappa sin mu, log-normalizer) with the block's
+(cos theta, sin theta, 1) gives every log density. Their exponentials,
+taken without a shift since no log density exceeds about 4.9, and their
+column sums give the log-likelihood, and one batched product gives each
+component's sums of r cos theta, r sin theta and r, r the
+responsibility. The M-step needs only those sums, so no (restarts, M, n)
+array is formed and memory does not grow with n. The restarts of one fit
+advance in lockstep, so one iteration is a fixed, small number of numpy
+calls on (restarts, M) arrays and one block. Initialization is a seeded
+farthest-point sweep over the data, all restarts at once, so every fit
+is reproducible from an integer seed.
 """
 
 from __future__ import annotations
@@ -21,12 +25,17 @@ import numpy as np
 from scipy.special import i0e
 
 from .bessel import inverse_mean_resultant_ratio, is_saturated
+from .kde import _CHUNK_CELLS
 from .models import TWO_PI, VonMises, VonMisesMixture, _as_sample, curvature_integral, wrap_angle
 from .rng import make_rng
 
 DEFAULT_CANDIDATE_MS: tuple[int, ...] = (2, 3, 4, 5)
 
 _LOG_TWO_PI = math.log(TWO_PI)
+
+# A sweep column whose density sum is below this is redone shifted: its
+# subnormal terms would otherwise cost digits (see _sweep).
+_SUM_FLOOR = 1e-290
 
 
 @dataclass(frozen=True)
@@ -82,9 +91,9 @@ def fit_single_von_mises(sample) -> VonMises:
 
 
 def log_likelihood(sample, mixture: VonMisesMixture) -> float:
-    # The batched E-step takes (restarts, M) parameters; this is one restart.
+    # The sweep takes (restarts, M) parameters; this is one restart.
     params = (mixture.weights[None, :], mixture.mus[None, :], mixture.kappas[None, :])
-    _, ll = _batch_e_step(_unit_vectors(sample), *params)
+    ll, _ = _sweep(_unit_vectors(sample), *params, max(1, _CHUNK_CELLS // mixture.m))
     return float(ll[0])
 
 
@@ -107,9 +116,7 @@ def em_fit(sample, M: int, cfg: EmConfig | None = None) -> MixtureFit:
         ll = log_likelihood(arr, mix)
         return _finalize(mix, ll, converged=True, n_iter=0, trace=(ll,), n=n)
 
-    mus0 = np.stack(
-        [_initial_centers(arr, M, make_rng(cfg.seed, M, r)) for r in range(cfg.n_restarts)]
-    )
+    mus0 = _initial_centers(arr, M, [make_rng(cfg.seed, M, r) for r in range(cfg.n_restarts)])
     return _run_em_restarts(_unit_vectors(arr), mus0, cfg)
 
 
@@ -151,7 +158,7 @@ def select_reference_mixture(
     aic_table: dict[int, float] = {}
     rejected: dict[int, str] = {}
     convergence: dict[int, tuple[int, bool]] = {}
-    eligible: list[tuple[float, int, MixtureFit, float]] = []
+    eligible: list[MixtureFit] = []
     for m in candidates:
         if arr.size < 3 * m:
             rejected[m] = f"sample too small for M={m}"
@@ -162,12 +169,12 @@ def select_reference_mixture(
         if not fit.valid:
             rejected[m] = fit.invalid_reason or "degenerate fit"
             continue
-        eligible.append((fit.aic, m, fit, curvature_integral(fit.mixture)))
+        eligible.append(fit)
 
     if not eligible:
         return MixtureSelection(None, None, aic_table, rejected, convergence)
-    _, _, fit, curv = min(eligible, key=lambda t: (t[0], t[1]))
-    return MixtureSelection(fit, curv, aic_table, rejected, convergence)
+    fit = min(eligible, key=lambda f: (f.aic, f.M))
+    return MixtureSelection(fit, curvature_integral(fit.mixture), aic_table, rejected, convergence)
 
 
 # -- internals -------------------------------------------------------------
@@ -177,42 +184,56 @@ def _unit_vectors(sample) -> np.ndarray:
     """(cos theta, sin theta, 1) of each observation as a (3, n) matrix.
 
     The row of ones carries each component's log-normalizer through the
-    E-step's matmul, so no separate pass over (restarts, M, n) adds it.
+    sweep's matmul, so no separate pass over (restarts, M, n) adds it, and
+    gives the sweep its sum of responsibilities.
     """
     arr = _as_sample(sample)
     return np.stack((np.cos(arr), np.sin(arr), np.ones_like(arr)))
 
 
-def _initial_centers(arr: np.ndarray, M: int, rng: np.random.Generator) -> np.ndarray:
-    """Farthest-point sweep from a seeded random start."""
-    start = int(rng.integers(arr.size))
-    centers = [arr[start]]
-    d = _circ_dist(arr, centers[0])
-    for _ in range(M - 1):
-        far = int(np.argmax(d))
-        centers.append(arr[far])
-        d = np.minimum(d, _circ_dist(arr, arr[far]))
-    return np.asarray(centers)
+def _initial_centers(arr: np.ndarray, M: int, rng) -> np.ndarray:
+    """Farthest-point sweeps, each from a seeded random start.
+
+    ``rng`` is one generator, for M centres, or a sequence of them, for one
+    row of M centres each. The rows run together on (rows, n) distance
+    arrays; each does the arithmetic of its own sweep, so it does not
+    depend on the others.
+    """
+    rngs = [rng] if isinstance(rng, np.random.Generator) else rng
+    idx = np.empty((len(rngs), M), dtype=np.intp)
+    idx[:, 0] = [g.integers(arr.size) for g in rngs]
+    d = _circ_dist(arr, arr[idx[:, :1]])
+    for j in range(1, M):
+        idx[:, j] = np.argmax(d, axis=1)
+        if j + 1 < M:
+            np.minimum(d, _circ_dist(arr, arr[idx[:, j : j + 1]]), out=d)
+    centers = arr[idx]
+    return centers if rngs is rng else centers[0]
 
 
-def _circ_dist(a: np.ndarray, b: float) -> np.ndarray:
-    diff = np.abs(np.mod(a - b, TWO_PI))
-    return np.minimum(diff, TWO_PI - diff)
+def _circ_dist(a: np.ndarray, b) -> np.ndarray:
+    diff = np.subtract(a, b)
+    np.mod(diff, TWO_PI, out=diff)
+    np.abs(diff, out=diff)
+    return np.minimum(diff, TWO_PI - diff, out=diff)
 
 
 def _run_em_restarts(x: np.ndarray, mus0: np.ndarray, cfg: EmConfig) -> MixtureFit:
     """All running restarts advanced in lockstep; each stops at its own convergence.
 
-    Working parameter tensors have shape (running restarts, M); the E-step
-    works on (running restarts, M, n). When a restart's relative
-    log-likelihood change drops below tolerance, its parameters, iteration
-    count and convergence flag are written to the output arrays once and its
-    row leaves the working arrays, so no step is spent on it afterwards.
-    Each step acts on every restart's row alone, which reproduces the
-    per-restart sequential behaviour exactly.
+    Working parameter tensors have shape (running restarts, M); each
+    iteration is one :func:`_sweep` and one :func:`_m_step`. When a
+    restart's relative log-likelihood change drops below tolerance, its
+    parameters, iteration count and convergence flag are written to the
+    output arrays once and its row leaves the working arrays, so no step is
+    spent on it afterwards. Each step acts on every restart's row alone,
+    and the sweep's block length depends on n, M and ``cfg.n_restarts``
+    only, which reproduces the per-restart sequential behaviour exactly.
     """
     n = x.shape[1]
     nr, m = mus0.shape
+    block = max(1, _CHUNK_CELLS // (cfg.n_restarts * m))
+    buf = _sweep_buffer(nr, m, min(block, n))  # reused by every sweep of this fit
     alpha = np.full((nr, m), 1.0 / m)
     mus = mus0.copy()
     kappas = np.ones((nr, m))
@@ -224,8 +245,8 @@ def _run_em_restarts(x: np.ndarray, mus0: np.ndarray, cfg: EmConfig) -> MixtureF
     # iterations 1..n_iters[r], so its trace is a prefix of its column.
     ll_hist = np.empty((cfg.max_iter, nr))
     for it in range(1, cfg.max_iter + 1):
-        resp, ll = _batch_e_step(x, alpha, mus, kappas)
-        alpha, mus, kappas = _batch_m_step(x, resp)
+        ll, sums = _sweep(x, alpha, mus, kappas, block, buf)
+        alpha, mus, kappas = _m_step(sums, n)
         ll_hist[it - 1, run] = ll
         if it > 1:
             change = ll - ll_prev
@@ -246,7 +267,7 @@ def _run_em_restarts(x: np.ndarray, mus0: np.ndarray, cfg: EmConfig) -> MixtureF
         tol *= cfg.rel_tol
     final[:, run] = alpha, mus, kappas  # restarts that reached max_iter
     alpha, mus, kappas = final
-    _, ll_final = _batch_e_step(x, alpha, mus, kappas)
+    ll_final, _ = _sweep(x, alpha, mus, kappas, block, buf)
     best = int(np.argmax(ll_final))
     trace = tuple(ll_hist[: n_iters[best], best].tolist()) + (float(ll_final[best]),)
     # Restarts can reach one optimum with permuted labels; sorting by mean
@@ -263,48 +284,86 @@ def _run_em_restarts(x: np.ndarray, mus0: np.ndarray, cfg: EmConfig) -> MixtureF
     )
 
 
-def _batch_e_step(x, alpha, mus, kappas):
-    """Responsibilities (restarts, M, n) and log-likelihood per restart.
+def _sweep_buffer(restarts: int, m: int, block: int) -> np.ndarray:
+    """Scratch for :func:`_sweep`: one block's densities and scaled unit vectors."""
+    return np.empty(restarts * (m + 3) * block)
 
-    Each component's weights (kappa cos mu, kappa sin mu, log-normalizer
-    log alpha - log 2 pi - log i0e(kappa) - kappa) meet the (3, n)
-    ``x`` of :func:`_unit_vectors` in one matmul, which gives every log
-    density. The log-sum-exp then runs in place, reducing over components
-    elementwise across contiguous rows of length n.
+
+def _sweep(x, alpha, mus, kappas, block, buf=None):
+    """Log-likelihood and per-component sums of each restart, ``block`` observations at a time.
+
+    Returns ``ll`` of shape (restarts,) and ``sums`` of shape (restarts, 3, M)
+    holding sum r cos theta, sum r sin theta and sum r for the
+    responsibilities r. Each component's weights (kappa cos mu, kappa sin mu,
+    log-normalizer log alpha - log 2 pi - log i0e(kappa) - kappa) meet the
+    (3, n) ``x`` of :func:`_unit_vectors` in one matmul, which gives every
+    log density. Their ``exp`` D and its column sums s give the
+    log-likelihood sum log s, and one batched product of (cos theta,
+    sin theta, 1) / s with D gives all three sums, so the normalized
+    responsibilities are never formed. A log density is at most
+    log alpha - log(2 pi i0e(kappa)) <= 4.9 at ``KAPPA_CAP``, so ``exp`` cannot
+    overflow and no column needs its maximum subtracted. A column whose sum
+    is below ``_SUM_FLOOR`` would lose digits to underflow; only such
+    columns are recomputed shifted by their largest log density. ``buf``
+    (from :func:`_sweep_buffer`, by default a new one) holds one block, so
+    memory does not grow with n.
     """
-    w = np.empty((3,) + kappas.shape)
+    nr, m = kappas.shape
+    if buf is None:
+        buf = _sweep_buffer(nr, m, min(block, x.shape[1]))
+    w = np.empty((3, nr, m))
     np.multiply(kappas, np.cos(mus), out=w[0])
     np.multiply(kappas, np.sin(mus), out=w[1])
     lognorm = np.log(alpha, out=w[2])
     lognorm -= _LOG_TWO_PI
     lognorm -= np.log(i0e(kappas))
     lognorm -= kappas
-    d = w.transpose(1, 2, 0) @ x
-    colmax = np.maximum.reduce(d, axis=1, keepdims=True)
-    d -= colmax
-    np.exp(d, out=d)
-    colsum = np.add.reduce(d, axis=1, keepdims=True)
-    d /= colsum
-    np.log(colsum, out=colsum)
-    colsum += colmax
-    return d, np.add.reduce(colsum[:, 0], axis=1)
+    w = w.transpose(1, 2, 0)
+    ll = np.zeros(nr)
+    sums = np.zeros((nr, 3, m))
+    for lo in range(0, x.shape[1], block):
+        xb = x[:, lo : lo + block]
+        cells = nr * m * xb.shape[1]
+        d = np.matmul(w, xb, out=buf[:cells].reshape(nr, m, -1))
+        np.exp(d, out=d)
+        s = np.add.reduce(d, axis=1)
+        if np.minimum.reduce(s, axis=None) < _SUM_FLOOR:
+            logs = _shift_low_columns(w, xb, d, s)
+        else:
+            logs = np.log(s)
+        ll += np.add.reduce(logs, axis=1)
+        y = np.divide(xb, s[:, None, :], out=buf[cells : cells + s.size * 3].reshape(nr, 3, -1))
+        sums += y @ d.transpose(0, 2, 1)
+    return ll, sums
 
 
-def _batch_m_step(x, resp):
-    """Weights, mean directions and concentrations from (restarts, M, n) responsibilities.
+def _shift_low_columns(w, xb, d, s):
+    """log s, after the columns of ``d`` and ``s`` whose sum is below ``_SUM_FLOOR`` are redone.
 
-    The resultants come from the (cos theta, sin theta) rows of ``x``.
+    Those columns take exp(log density - its column maximum), in place; the
+    others are recomputed unshifted, so their bits do not change.
     """
-    wsum = np.add.reduce(resp, axis=2)
-    cs = resp @ x[:2].T
-    c, s = cs[:, :, 0], cs[:, :, 1]
+    np.matmul(w, xb, out=d)
+    shift = np.maximum.reduce(d, axis=1)
+    shift[s >= _SUM_FLOOR] = 0.0
+    d -= shift[:, None, :]
+    np.exp(d, out=d)
+    np.add.reduce(d, axis=1, out=s)
+    logs = np.log(s)
+    logs += shift
+    return logs
+
+
+def _m_step(sums, n):
+    """Weights, mean directions and concentrations from :func:`_sweep`'s sums."""
+    c, s, wsum = sums.transpose(1, 0, 2)
     mus = np.arctan2(s, c)
     mus %= TWO_PI
     rbar = np.hypot(c, s)
     rbar /= np.maximum(wsum, 1e-300)
     kappas = inverse_mean_resultant_ratio(np.minimum(rbar, 1.0, out=rbar))
     # Guard against components that lost all support this iteration.
-    alpha = np.maximum(wsum / x.shape[1], 1e-300)
+    alpha = np.maximum(wsum / n, 1e-300)
     alpha /= np.add.reduce(alpha, axis=1, keepdims=True)
     return alpha, mus, kappas
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,13 +8,14 @@ from scipy.special import i0e, logsumexp
 
 from conftest import TWO_PI, circular_distance
 
+from circkde import em
 from circkde.bessel import KAPPA_CAP, is_saturated, mean_resultant_ratio
 from circkde.catalogue import get_model
 from circkde.em import (
     EmConfig,
-    _batch_e_step,
     _initial_centers,
     _run_em_restarts,
+    _sweep,
     _unit_vectors,
     aic_value,
     em_fit,
@@ -223,6 +225,64 @@ class TestRestarts:
             assert fit.ll_trace == solo.ll_trace and len(fit.ll_trace) == solo.n_iter + 1
 
 
+def sweep(theta, alpha, mus, kappas, block=None):
+    """``_sweep`` on one sample, in blocks of ``block`` observations (default: one block)."""
+    return _sweep(_unit_vectors(theta), alpha, mus, kappas, block or theta.size)
+
+
+def reference_sweep(theta, alpha, mus, kappas):
+    """Per-component log-sum-exp: log-likelihoods, responsibilities and the sweep's sums.
+
+    Each log density is log alpha - log 2 pi - log i0e(kappa)
+    - 2 kappa sin^2((theta - mu) / 2), which has no cancellation. Returns
+    (ll, lse, sums, scale): ``sums`` and ``scale`` have the sweep's
+    (restarts, 3, M) layout, ``scale`` holding sum r |cos theta|,
+    sum r |sin theta| and sum r.
+    """
+    logd = (
+        np.log(alpha) - math.log(TWO_PI) - np.log(i0e(kappas))
+    )[:, :, None] - 2.0 * kappas[:, :, None] * np.sin(0.5 * (theta - mus[:, :, None])) ** 2
+    lse = logsumexp(logd, axis=1)
+    resp = np.exp(logd - lse[:, None, :])
+    x = np.stack((np.cos(theta), np.sin(theta), np.ones_like(theta)))
+    sums = np.einsum("kn,rmn->rkm", x, resp)
+    scale = np.einsum("kn,rmn->rkm", np.abs(x), resp)
+    return lse.sum(axis=1), lse, sums, scale
+
+
+def log_density_error(alpha, kappas):
+    """delta = 32 eps (1 + kappa + |log alpha|) per restart: see :func:`sweep_bounds`."""
+    eps = np.finfo(float).eps
+    return 32 * eps * (1.0 + kappas.max(axis=1) + np.abs(np.log(alpha)).max(axis=1))
+
+
+def sweep_bounds(alpha, kappas, lse, scale):
+    """Error bounds of ``_sweep`` against :func:`reference_sweep`, per restart and per sum.
+
+    ``_sweep`` forms kappa cos(theta - mu) - kappa from products and sums
+    of order kappa, so each of its log densities is off by a few rounding
+    units of kappa + |log alpha| + log 2 pi + |log i0e(kappa)|; the
+    reference's own error is a few units of kappa. delta = 32 eps (1 + kappa
+    + |log alpha|) per restart covers both with room. ``exp`` turns that
+    into a relative error of delta + eps in each density, so the column sum
+    s is within delta + (M + 1) eps relative, and log s within that plus
+    eps |log s| absolute. Summing n terms adds at most n eps times the sum
+    of their sizes: the log-likelihood is within n (delta + (M + 1) eps)
+    + (n + 1) eps sum |lse|. A responsibility D / s, taken as the product
+    of D with (cos theta, sin theta, 1) / s, is within 2 delta + (M + 4) eps
+    relative, and the two summations over n observations (the sweep's and
+    the reference's) add 2 n eps: each sum is within
+    (2 delta + (M + 4 + 2 n) eps) sum r |x|. The shifted columns are a
+    log-sum-exp over the same log densities, within the same bounds.
+    """
+    n, m = lse.shape[1], kappas.shape[1]
+    eps = np.finfo(float).eps
+    delta = log_density_error(alpha, kappas)
+    ll_bound = n * (delta + (m + 1) * eps) + (n + 1) * eps * np.abs(lse).sum(axis=1)
+    sums_bound = (2 * delta + (m + 4 + 2 * n) * eps)[:, None, None] * scale
+    return ll_bound, sums_bound
+
+
 class TestEStep:
     KAPPAS = (0.0, 0.5, 3.0, 40.0, KAPPA_CAP)
 
@@ -231,21 +291,7 @@ class TestEStep:
     @pytest.mark.parametrize("M", [1, 2, 5])
     @pytest.mark.parametrize("restarts", [1, 3])
     def test_matches_per_component_logsumexp(self, restarts, M, n, kappa):
-        """Responsibilities and log-likelihoods against a reference per component.
-
-        The reference takes each log density as log alpha - log 2 pi
-        - log i0e(kappa) - 2 kappa sin^2((theta - mu) / 2), which has no
-        cancellation. ``_batch_e_step`` forms kappa cos(theta - mu) - kappa
-        from products and sums of order kappa, so each of its log densities
-        is off by a few rounding units of kappa + |log alpha| + log 2 pi
-        + |log i0e(kappa)|; the reference's own error is a few units of
-        kappa. delta = 32 eps (1 + kappa + |log alpha|) per restart covers
-        both with room. Log-sum-exp moves by at most the largest change of
-        its arguments, so each observation's term is within delta plus
-        (M + 4) eps of its size, and their sum within n delta plus
-        (n + M + 4) eps times the sum of their sizes. A responsibility
-        exp(d - lse) <= 1 moves by at most 2 delta plus (M + 4) eps.
-        """
+        """Log-likelihoods and the three per-component sums against :func:`reference_sweep`."""
         rng = make_rng(17, restarts, M, n, int(kappa))
         theta = rng.uniform(0.0, TWO_PI, n)
         alpha = rng.dirichlet(np.ones(M), restarts)
@@ -256,19 +302,120 @@ class TestEStep:
         kappas = np.array(self.KAPPAS)[(start + np.arange(restarts * M)) % 5].reshape(restarts, M)
         mus.flat[0] = theta[0]  # one observation on a mode, where the density peaks
 
-        resp, ll = _batch_e_step(_unit_vectors(theta), alpha, mus, kappas)
+        ll, sums = sweep(theta, alpha, mus, kappas)
 
-        logd = (
-            np.log(alpha) - math.log(TWO_PI) - np.log(i0e(kappas))
-        )[:, :, None] - 2.0 * kappas[:, :, None] * np.sin(0.5 * (theta - mus[:, :, None])) ** 2
-        lse = logsumexp(logd, axis=1)
-        eps = np.finfo(float).eps
-        delta = 32 * eps * (1.0 + kappas.max(axis=1) + np.abs(np.log(alpha)).max(axis=1))
-        ll_bound = n * delta + (n + M + 4) * eps * np.abs(lse).sum(axis=1)
-        assert resp.shape == (restarts, M, n) and ll.shape == (restarts,)
-        assert np.all(np.abs(ll - lse.sum(axis=1)) <= ll_bound)
-        resp_bound = 2 * delta + (M + 4) * eps
-        assert np.all(np.abs(resp - np.exp(logd - lse[:, None, :])) <= resp_bound[:, None, None])
+        ref_ll, lse, ref_sums, scale = reference_sweep(theta, alpha, mus, kappas)
+        ll_bound, sums_bound = sweep_bounds(alpha, kappas, lse, scale)
+        assert ll.shape == (restarts,) and sums.shape == (restarts, 3, M)
+        assert np.all(np.abs(ll - ref_ll) <= ll_bound)
+        assert np.all(np.abs(sums - ref_sums) <= sums_bound)
+
+    def test_blocks_match_one_block(self, monkeypatch):
+        """Blocks change the order of the sums over observations, and little else.
+
+        A block's matmul may round a log density differently at the block's
+        edge, within delta of :func:`sweep_bounds`, and each sum over n
+        observations runs in another order, within n eps times the sum of
+        its terms' sizes on each side. So the log-likelihoods agree within
+        n delta + 2 n eps sum |lse|, and the sums within
+        (2 delta + 2 n eps) sum r |x|.
+        """
+        rng = make_rng(18)
+        n, restarts, M = 1000, 3, 4
+        theta = rng.uniform(0.0, TWO_PI, n)
+        alpha = rng.dirichlet(np.ones(M), restarts)
+        mus = rng.uniform(0.0, TWO_PI, (restarts, M))
+        kappas = rng.choice([0.5, 3.0, 40.0, 400.0], (restarts, M))
+        one_ll, one_sums = sweep(theta, alpha, mus, kappas)
+        _, lse, _, scale = reference_sweep(theta, alpha, mus, kappas)
+        eps, delta = np.finfo(float).eps, log_density_error(alpha, kappas)
+        for block in (7, 64, 999):
+            ll, sums = sweep(theta, alpha, mus, kappas, block)
+            assert np.all(np.abs(ll - one_ll) <= n * delta + 2 * n * eps * np.abs(lse).sum(axis=1))
+            assert np.all(np.abs(sums - one_sums) <= (2 * delta + 2 * n * eps)[:, None, None] * scale)
+        # Through em_fit: 250 observations of an M = 3 fit in blocks of 6.
+        x = get_model("M20").sample(250, make_rng(42, 20, 250))
+        cfg = EmConfig(seed=3)
+        whole = em_fit(x, 3, cfg)
+        monkeypatch.setattr(em, "_CHUNK_CELLS", 6 * cfg.n_restarts * 3)
+        blocked = em_fit(x, 3, cfg)
+        assert blocked.log_likelihood == pytest.approx(whole.log_likelihood, rel=1e-12)
+        for field in ("n_iter", "converged", "valid"):
+            assert getattr(blocked, field) == getattr(whole, field)
+
+    def test_underflow_fallback(self, monkeypatch):
+        """Columns whose densities all underflow are redone shifted; the others keep their bits.
+
+        Restart 0 has two ``KAPPA_CAP`` components at 0 and 0.03, so
+        observations past about 0.15 from both have every density below
+        1e-290 (at 3 rad it is exp(-2e5), which is 0). Restart 1 has
+        moderate concentrations and no such column.
+        """
+        theta = np.concatenate((np.linspace(0.0, 0.3, 31), [1.0, 3.0, 5.5]))
+        alpha = np.array([[0.6, 0.4], [0.5, 0.5]])
+        mus = np.array([[0.0, 0.03], [1.0, 4.0]])
+        kappas = np.array([[KAPPA_CAP, KAPPA_CAP], [2.0, 5.0]])
+        shifted = []
+        real = em._shift_low_columns
+
+        def spy(w, xb, d, s):
+            shifted.append(int((s < em._SUM_FLOOR).sum()))
+            return real(w, xb, d, s)
+
+        monkeypatch.setattr(em, "_shift_low_columns", spy)
+        ll, sums = sweep(theta, alpha, mus, kappas)
+        assert shifted and 3 <= shifted[0] < theta.size
+        ref_ll, lse, ref_sums, scale = reference_sweep(theta, alpha, mus, kappas)
+        ll_bound, sums_bound = sweep_bounds(alpha, kappas, lse, scale)
+        assert np.all(np.isfinite(ll)) and np.all(np.abs(ll - ref_ll) <= ll_bound)
+        assert np.all(np.abs(sums - ref_sums) <= sums_bound)
+        # Restart 1 alone takes the unshifted path and gives the same bits.
+        alone_ll, alone_sums = sweep(theta, alpha[1:], mus[1:], kappas[1:])
+        assert len(shifted) == 1
+        assert alone_ll[0] == ll[1]
+        np.testing.assert_array_equal(alone_sums[0], sums[1])
+
+
+class TestMemory:
+    def test_bounded_by_the_sample_not_restarts_times_m(self):
+        # A fit holds the (3, n) unit vectors and the initial centres'
+        # (restarts, n) distance arrays, at most 3 n + 3 * 5 n floats, plus
+        # one sweep block of about _CHUNK_CELLS (M + 3) / M cells and its
+        # column sums. The (restarts, M, n) responsibilities of this 5 x 5
+        # fit would be 25 n floats alone.
+        n = 50_000
+        x = get_model("M16").sample(n, make_rng(9, 16))
+        tracemalloc.start()
+        try:
+            em_fit(x, 5, EmConfig(max_iter=3))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * (18 * n + 4 * em._CHUNK_CELLS)
+
+
+class TestInitialCenters:
+    @staticmethod
+    def one_sweep(arr, M, rng):
+        """The per-restart farthest-point sweep that ``_initial_centers`` batches."""
+        centers = [arr[int(rng.integers(arr.size))]]
+        d = circular_distance(arr, centers[0])
+        for _ in range(M - 1):
+            far = int(np.argmax(d))
+            centers.append(arr[far])
+            d = np.minimum(d, circular_distance(arr, arr[far]))
+        return np.asarray(centers)
+
+    @pytest.mark.parametrize("n", [100, 250, 2000])
+    @pytest.mark.parametrize("model", ["M1", "M2", "M5", "M7", "M12", "M20"])
+    def test_batch_equals_each_restart(self, model, n):
+        x = get_model(model).sample(n, make_rng(5, n))
+        for M in (2, 3, 4, 5):
+            rngs = [make_rng(7, M, r) for r in range(5)]
+            batch = _initial_centers(x, M, rngs)
+            rows = np.stack([self.one_sweep(x, M, make_rng(7, M, r)) for r in range(5)])
+            np.testing.assert_array_equal(batch, rows)
+            np.testing.assert_array_equal(_initial_centers(x, M, make_rng(7, M, 2)), rows[2])
 
 
 class TestAic:
