@@ -181,6 +181,9 @@ def cmd_fit(args) -> int:
             entry["fallback_reason"] = res.diagnostics.get("fallback_reason")
         if "em" in res.diagnostics:
             entry["em"] = {str(k): [n, ok] for k, (n, ok) in sorted(res.diagnostics["em"].items())}
+        for key in ("optimizer", "orders", "direct_rows", "ties"):
+            if key in res.diagnostics:
+                entry[key] = res.diagnostics[key]
         report["selectors"][name] = entry
 
     counts, edges = np.histogram(sample, bins=args.rose_bins, range=(0.0, TWO_PI))

@@ -9,9 +9,11 @@ rho_m(nu) = I_m(nu) / I_0(nu) the kernel's characteristic function
 (Mardia & Jupp 2000, Directional Statistics, sec. 3.5). Every harmonic
 cos/sin(m Theta), m < K, comes from two small tables (``_trig_table``):
 cos/sin(j Theta) for j < B = ceil(sqrt(K)) and cos/sin(g B Theta) for
-g < Q = ceil(K / B), combined by angle addition for m = g B + j. That is
-2 (B + Q) n trigonometric evaluations instead of 2 K n, with the same
-accuracy: both are limited by rounding m Theta, about pi m 1e-16.
+g < Q = ceil(K / B), combined by angle addition for m = g B + j. Each
+table is the running powers of exp(i Theta) or exp(i B Theta), so both
+cost 4 n cos/sin calls and (B + Q) n complex products instead of 2 K n
+trigonometric evaluations. The error still grows like pi m 1e-16, now
+from rounding B Theta rather than m Theta, plus a few 1e-16 per power.
 ``_trig_moments`` gets phi_m as one real matrix product of the tables,
 blocked over observations. From them ``kde_grid`` gets the density grid
 by one inverse FFT (``_folded_spectrum`` folds the coefficients onto the
@@ -204,17 +206,37 @@ def _table_layout(orders: int) -> tuple[int, int, int]:
     return base, groups, max(1, _CHUNK_CELLS // max(base * groups, 2 * (base + groups)))
 
 
-def _trig_table(theta: np.ndarray, multiples) -> np.ndarray:
-    """[cos; sin](k theta) for k in ``multiples``, shape (2 len(multiples), n).
+def _trig_table(theta: np.ndarray, count: int, step) -> np.ndarray:
+    """[cos; sin](k step theta) for k < count, shape (2 count, n).
 
-    k theta is the same float as in the direct product m theta. The two
-    tables are j < B (low) and g B for g < Q (high).
+    Row k is z^k, z = exp(i step theta): one cos and one sin per
+    observation, then running complex products (``np.multiply.accumulate``)
+    in a scratch of one block of observations, at most ``_CHUNK_CELLS``
+    complex cells. The low table is step 1, the high one step B.
+
+    Row k is within k (pi step + 4) eps of exp(i k step theta), 0 <= theta
+    < 2 pi, while the direct cos(m theta) is within about pi m eps: the
+    angle is no longer the float m theta. Rounding step theta moves it by
+    at most pi step eps (nothing at step 1), and the k-th power multiplies
+    that by k. z is within sqrt(2) eps of exp(i fl(step theta)) if np.cos
+    and np.sin are within an eps, and each of the k - 1 complex products
+    adds at most sqrt(5) / 2 eps relative (Brent, Percival & Zimmermann
+    2007, Math. Comp. 76) to a power whose modulus is 1 within that sum.
     """
-    count = len(multiples)
     table = np.empty((2 * count, theta.size))
-    angles = np.multiply(np.asarray(multiples)[:, None], theta[None, :], out=table[count:])
-    np.cos(angles, out=table[:count])
-    np.sin(angles, out=angles)
+    cols = max(1, _CHUNK_CELLS // count)
+    scratch = np.empty((count, min(cols, theta.size)), dtype=complex)
+    unit = np.empty(scratch.shape[1], dtype=complex)
+    scratch[0] = 1.0
+    for lo in range(0, theta.size, cols):
+        hi = min(lo + cols, theta.size)
+        block, z = scratch[:, : hi - lo], unit[: hi - lo]
+        angles = np.multiply(theta[lo:hi], step)
+        np.cos(angles, out=z.real)
+        np.sin(angles, out=z.imag)
+        np.multiply.accumulate(np.broadcast_to(z, (count - 1, hi - lo)), axis=0, out=block[1:])
+        table[:count, lo:hi] = block.real
+        table[count:, lo:hi] = block.imag
     return table
 
 
@@ -279,7 +301,7 @@ def _trig_moments(sample, orders: int) -> np.ndarray:
     theta = wrap_angle(_as_sample(sample))
     base, groups, step = _table_layout(orders)
     cos_sums, sin_sums = _harmonic_sums(
-        (_trig_table(block, base * np.arange(groups)), _trig_table(block, np.arange(base)))
+        (_trig_table(block, groups, base), _trig_table(block, base, 1))
         for block in (theta[lo : lo + step] for lo in range(0, theta.size, step))
     )
     out = np.empty((groups, base), dtype=complex)
@@ -301,8 +323,8 @@ def _cosine_sums(sample, orders: int):
     """
     theta = wrap_angle(_as_sample(sample))
     base, groups, step = _table_layout(orders)
-    high = _trig_table(theta, base * np.arange(groups))
-    low = _trig_table(theta, np.arange(base))
+    high = _trig_table(theta, groups, base)
+    low = _trig_table(theta, base, 1)
     spans = (slice(lo, lo + step) for lo in range(0, theta.size, step))
     blocks = [(span, high[:, span], low[:, span]) for span in spans]
     a, b = _harmonic_sums((high_block, low_block) for _, high_block, low_block in blocks)

@@ -29,7 +29,7 @@ from .em import EmConfig, fit_single_von_mises, select_reference_mixture
 # Unused here, but perfbench/tracing.py wraps selectors.kde_grid and selectors.ise.
 from .kde import ise, kde_grid  # noqa: F401
 from .kde import _cosine_sums, _kernel_sums
-from .models import TWO_PI, _as_sample
+from .models import TWO_PI, _as_sample, wrap_angle
 
 RT = "RT"
 PI = "PI"
@@ -111,7 +111,9 @@ def golden_section_minimize(f, lo: float, hi: float, rel_tol: float = 1e-4):
 def minimize_on_domain(f, domain: NuSearchDomain):
     """Probe the domain on a log grid, then golden-section around the best probe.
 
-    Never returns a point worse than the best probe.
+    Never returns a point worse than the best probe. The trace's
+    ``edge_hit`` is set when the best probe is the last one, where the
+    minimum may lie beyond ``nu_max``.
     """
     probes = domain.probes()
     values = np.array([f(p) for p in probes])
@@ -125,6 +127,7 @@ def minimize_on_domain(f, domain: NuSearchDomain):
         "n_evals": int(probes.size + evals),
         "best_probe": float(probes[best]),
         "bracket": (float(lo), float(hi)),
+        "edge_hit": best == probes.size - 1,
     }
     return float(x), float(fx), trace
 
@@ -248,8 +251,10 @@ def lcv(sample, domain: NuSearchDomain | None = None) -> BandwidthResult:
     sample's two trigonometric tables once per call and gives S for each
     nu in O(K n) time and 2 (B + Q) n floats, B + Q about 2 sqrt(K). Rows
     whose sum falls below ``_DIRECT_BELOW`` are recomputed by the direct
-    sum. ``diagnostics`` holds ``orders`` (K) and ``direct_rows`` (recomputed
-    rows, summed over all evaluations).
+    sum. ``diagnostics`` holds ``orders`` (K), ``direct_rows`` (recomputed
+    rows, summed over all evaluations) and ``ties``: the observations whose
+    wrapped value another observation shares. When every value is tied the
+    objective grows without bound in nu; ``ties`` does not change the pick.
     """
     arr = _as_sample(sample)
     n = arr.size
@@ -274,11 +279,13 @@ def lcv(sample, domain: NuSearchDomain | None = None) -> BandwidthResult:
         return -_lcv_from_sums(sums, n, nu)
 
     nu, neg, trace = minimize_on_domain(objective, domain)
+    counts = np.unique(wrap_angle(arr), return_counts=True)[1]
+    ties = counts[counts > 1].sum()
     return BandwidthResult(
         nu=nu,
         selector=LCV,
         objective=-neg,
-        diagnostics={"optimizer": trace, "orders": orders, "direct_rows": direct_rows},
+        diagnostics={"optimizer": trace, "orders": orders, "direct_rows": direct_rows, "ties": int(ties)},
     )
 
 

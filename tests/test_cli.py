@@ -189,6 +189,25 @@ class TestFitCommand:
         assert all(isinstance(n_iter, int) and isinstance(ok, bool) for n_iter, ok in em.values())
         assert "em" not in report["selectors"][RT] and "em" not in report["selectors"][LCV]
 
+    def test_report_selector_diagnostics(self, tmp_path):
+        # PI and LCV write their optimizer traces, LCV its orders, direct rows and ties
+        f = tmp_path / "m7.txt"
+        run_cli("sample", "M7", "200", "--seed", "8", "--output", str(f))
+        out = tmp_path / "fit"
+        assert run_cli("fit", str(f), "--seed", "3", "--output-dir", str(out)) == 0
+        report = json.loads((out / "fit_report.json").read_text())["selectors"]
+        sample = read_angle_file(str(f))
+        em = EmConfig(seed=derive_seed(3, 11))
+        for name in (PI, LCV):
+            trace = select(name, sample, em).diagnostics["optimizer"]
+            assert sorted(trace) == ["best_probe", "bracket", "edge_hit", "n_evals"]
+            assert report[name]["optimizer"] == {**trace, "bracket": list(trace["bracket"])}
+        res = select(LCV, sample, em)
+        assert {k: report[LCV][k] for k in ("orders", "direct_rows", "ties")} == {
+            k: res.diagnostics[k] for k in ("orders", "direct_rows", "ties")
+        }
+        assert "optimizer" not in report[RT] and "ties" not in report[PI]
+
     def test_unit_round_trip_bandwidths(self, tmp_path):
         rad, deg = tmp_path / "r.txt", tmp_path / "d.txt"
         run_cli("sample", "M2", "100", "--seed", "4", "--output", str(rad))

@@ -264,8 +264,10 @@ def harmonic_bound(orders):
     """Absolute error allowed in cos and sin(m theta), m < orders, 0 <= theta < 2 pi.
 
     Rounding m theta to float64 moves it by up to pi m eps, so the direct
-    np.cos(m * theta) cannot do better; angle addition from the two tables
-    adds a few eps to that.
+    np.cos(m * theta) cannot do better. The tables round B theta instead
+    (pi g B eps after the g-th power) and add up to 4 (g + j) eps in their
+    powers (``_trig_table``), so where both worst cases meet they could
+    pass this bound by about 4 g eps; the moments here use at most 9% of it.
     """
     return (np.pi * orders + 4) * np.finfo(float).eps
 
@@ -297,8 +299,8 @@ class TestBlocks:
         bound = harmonic_bound(base * groups)
         tables = []
         for lo, hi in spans:
-            high = kmod._trig_table(theta[lo:hi], base * np.arange(groups))
-            low = kmod._trig_table(theta[lo:hi], np.arange(base))
+            high = kmod._trig_table(theta[lo:hi], groups, base)
+            low = kmod._trig_table(theta[lo:hi], base, 1)
             tables.append((high, low))
             for k in range(hi - lo):
                 c, s = kmod._harmonic_sums([(high[:, k : k + 1], low[:, k : k + 1])])
@@ -356,6 +358,45 @@ class TestTrigTables:
         finally:
             tracemalloc.stop()
         assert peak < 3 * theta.nbytes + 4 * 8 * kmod._CHUNK_CELLS
+
+    @pytest.mark.parametrize("count,step", [(53, 1), (53, 53), (17, 17), (1, 9)])
+    def test_table_rows_match_longdouble(self, count, step):
+        # Row k within k (pi step + 4) eps, the bound in _trig_table's docstring;
+        # 53 is B and Q at K = 2799. Angles near 2 pi round step theta the most.
+        rng = make_rng(9, count, step)
+        near_top = np.nextafter(TWO_PI, 0.0) - rng.uniform(0.0, 1e-3, 20)
+        theta = np.concatenate([rng.uniform(0.0, TWO_PI, 300), near_top])
+        table = kmod._trig_table(theta, count, step)
+        angles = (step * np.arange(count, dtype=np.longdouble))[:, None] * theta.astype(np.longdouble)
+        err = np.maximum(
+            np.abs(table[:count] - np.cos(angles)), np.abs(table[count:] - np.sin(angles))
+        ).max(axis=1)
+        k = np.arange(count)
+        assert err[0] == 0.0
+        assert (err <= k * (np.pi * step + 4) * np.finfo(float).eps).all(), err
+
+    def test_table_blocks_are_bit_identical(self, monkeypatch):
+        # 1000 cells hold 58 observations of a 17-row table, so 2000 run in 35 blocks, the last partial
+        theta = wrap_angle(get_model("M16").sample(2000, make_rng(6, 16, 2000)))
+        whole = [kmod._trig_table(theta, 17, 17), kmod._trig_table(theta, 17, 1)]
+        monkeypatch.setattr(kmod, "_CHUNK_CELLS", 1000)
+        np.testing.assert_array_equal(kmod._trig_table(theta, 17, 17), whole[0])
+        np.testing.assert_array_equal(kmod._trig_table(theta, 17, 1), whole[1])
+
+    def test_table_memory(self):
+        # LCV's two tables at n = 100,000 (K = 281, B = Q = 17): 2 (B + Q) n floats
+        # plus one complex scratch block; unblocked, the scratch would add 27 MB per table.
+        theta = get_model("M16").sample(100_000, make_rng(6, 16))
+        base, groups, _ = kmod._table_layout(281)
+        tracemalloc.start()
+        try:
+            high = kmod._trig_table(theta, groups, base)
+            low = kmod._trig_table(theta, base, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (base, groups) == (17, 17)
+        assert peak < high.nbytes + low.nbytes + 3 * 16 * kmod._CHUNK_CELLS
 
 
 class TestIse:

@@ -1,3 +1,4 @@
+import collections
 import functools
 import math
 import tracemalloc
@@ -122,6 +123,14 @@ class TestAmise:
         brute = min(f(v) for v in grid)
         # exact search can only improve on the brute-force grid
         assert fx <= brute * (1 + 1e-8)
+
+    def test_edge_hit_flags_the_last_probe(self):
+        domain = NuSearchDomain.for_sample_size(250)
+        _, _, interior = minimize_on_domain(lambda v: amise(v, 250, 0.9), domain)
+        x, _, edge = minimize_on_domain(lambda v: -v, domain)
+        assert interior["edge_hit"] is False
+        assert edge["edge_hit"] is True and edge["best_probe"] == domain.probes()[-1]
+        assert x == pytest.approx(domain.nu_max, rel=1e-4)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -322,6 +331,25 @@ class TestLcv:
         domain = NuSearchDomain.for_sample_size(m2_100.size)
         assert res.diagnostics["orders"] == _order_count(domain.nu_max)
         assert res.diagnostics["direct_rows"] == 0
+
+    def test_ties_on_10_degree_rounding(self, m7_500):
+        # M7 rounded to 10 degree sectors: 497 of 500 share a sector; 360 wraps onto 0
+        sectors = np.round(np.rad2deg(m7_500) / 10.0)
+        counts = collections.Counter(int(k) % 36 for k in sectors)
+        expected = sum(c for c in counts.values() if c > 1)
+        assert (expected, (sectors == 36).any()) == (497, True)
+        assert lcv(np.deg2rad(10.0 * sectors)).diagnostics["ties"] == expected
+
+    def test_ties_with_one_singleton(self, m7_500):
+        # every 10 degree sector that holds two or more points, plus one point off the sectors
+        sectors = np.round(np.rad2deg(m7_500) / 10.0) % 36
+        values, counts = np.unique(sectors, return_counts=True)
+        shared = np.deg2rad(10.0 * np.repeat(values[counts > 1], counts[counts > 1]))
+        sample = np.append(shared, np.deg2rad(5.0))
+        assert lcv(sample).diagnostics["ties"] == sample.size - 1
+
+    def test_no_ties_on_continuous_data(self, m2_100):
+        assert lcv(m2_100).diagnostics["ties"] == 0
 
     def test_refuses_nu_beyond_table(self, monkeypatch, m2_100):
         # the table drops orders that are negligible only up to domain.nu_max
