@@ -10,14 +10,18 @@ rho_m(nu) = I_m(nu) / I_0(nu) the kernel's characteristic function
 cos/sin(m Theta), m < K, comes from two small tables (``_trig_table``):
 cos/sin(j Theta) for j < B = ceil(sqrt(K)) and cos/sin(g B Theta) for
 g < Q = ceil(K / B), combined by angle addition for m = g B + j. Each
-table is the running powers of exp(i Theta) or exp(i B Theta), so both
-cost 4 n cos/sin calls and (B + Q) n complex products instead of 2 K n
-trigonometric evaluations. The error still grows like pi m 1e-16, now
-from rounding B Theta rather than m Theta, plus a few 1e-16 per power.
-``_trig_moments`` gets phi_m as one real matrix product of the tables,
-blocked over observations. From them ``kde_grid`` gets the density grid
-by one inverse FFT (``_folded_spectrum`` folds the coefficients onto the
-grid's DFT bins), ``oracle_mise_curve`` the oracle's ISE curve, and
+table is the powers of exp(i Theta) or exp(i B Theta), one complex product
+per row, so both cost 4 n cos/sin calls and (B + Q) n complex products
+instead of 2 K n trigonometric evaluations. The error still grows like
+pi m 1e-16, now from rounding B Theta rather than m Theta, plus a few
+1e-16 per power. ``_sample_moments`` gets phi_m of one sample or of many
+as real matrix products of the tables, one per piece of a sample, with
+the samples' angles run through the tables together in cache-sized
+blocks. From them ``kde_grid`` gets the density grid by one inverse FFT
+(``_folded_spectrum`` folds the coefficients onto the grid's DFT bins),
+``oracle_mise_curve`` the oracle's ISE curve for a whole set of
+replicates, as two (replicates x K) by (K x nus) products of a quadratic
+form in rho (per-replicate folding when orders alias), and
 ``_cosine_sums`` the sums behind ``selectors.lcv``'s estimator at its own
 sample points: one more real product of the low table per nu, in
 2 (B + Q) n floats rather than a K x n table or an n x n kernel matrix.
@@ -28,6 +32,7 @@ spectrum cannot resolve to 1e-12 relative stay with the direct kernel sums.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -193,13 +198,14 @@ def _kernel_sums(points: np.ndarray, sample: np.ndarray, nu: float, self_rows=No
 
 
 def _table_layout(orders: int) -> tuple[int, int, int]:
-    """B, Q and the observations per block of a real product over the two tables.
+    """B, Q and the most observations one real product over the two tables takes.
 
     B = ceil(sqrt(K)) and Q = ceil(K / B): every order m < K is g B + j with
-    g < Q, j < B. A block keeps both tables within ``_CHUNK_CELLS`` cells and
-    a product's 4 B Q n_block multiply-adds within 2^18, below which OpenBLAS
-    runs a product on one thread: threaded, products with few observations
-    took about 16 ms instead of 20 us on 2 cores. Products stay real for that reason too.
+    g < Q, j < B. That many observations keep both tables within
+    ``_CHUNK_CELLS`` cells and a product's 4 B Q n multiply-adds within
+    2^18, below which OpenBLAS runs a product on one thread: threaded,
+    products with few observations took about 16 ms instead of 20 us on
+    2 cores. Products stay real for that reason too.
     """
     base = math.isqrt(max(orders, 1) - 1) + 1
     groups = -(-orders // base)
@@ -210,7 +216,7 @@ def _trig_table(theta: np.ndarray, count: int, step) -> np.ndarray:
     """[cos; sin](k step theta) for k < count, shape (2 count, n).
 
     Row k is z^k, z = exp(i step theta): one cos and one sin per
-    observation, then running complex products (``np.multiply.accumulate``)
+    observation, then one complex product per row, row k = row k-1 times z,
     in a scratch of one block of observations, at most ``_CHUNK_CELLS``
     complex cells. The low table is step 1, the high one step B.
 
@@ -226,15 +232,17 @@ def _trig_table(theta: np.ndarray, count: int, step) -> np.ndarray:
     table = np.empty((2 * count, theta.size))
     cols = max(1, _CHUNK_CELLS // count)
     scratch = np.empty((count, min(cols, theta.size)), dtype=complex)
-    unit = np.empty(scratch.shape[1], dtype=complex)
     scratch[0] = 1.0
     for lo in range(0, theta.size, cols):
         hi = min(lo + cols, theta.size)
-        block, z = scratch[:, : hi - lo], unit[: hi - lo]
-        angles = np.multiply(theta[lo:hi], step)
-        np.cos(angles, out=z.real)
-        np.sin(angles, out=z.imag)
-        np.multiply.accumulate(np.broadcast_to(z, (count - 1, hi - lo)), axis=0, out=block[1:])
+        block = scratch[:, : hi - lo]
+        if count > 1:
+            angles = np.multiply(theta[lo:hi], step)
+            z = block[1]
+            np.cos(angles, out=z.real)
+            np.sin(angles, out=z.imag)
+            for k in range(2, count):
+                np.multiply(block[k - 1], z, out=block[k])
         table[:count, lo:hi] = block.real
         table[count:, lo:hi] = block.imag
     return table
@@ -249,8 +257,25 @@ def oracle_mise_curve(samples, truth: DensityGrid, nus) -> np.ndarray:
     F_k = sum over m = k (mod G) of rho_|m| phi_m (phi_-m = conj phi_m),
     and by Parseval the grid ISE is (1/2 pi) sum_k w_k |F_k - gamma_k|^2
     over k = 0..G/2, with w = (1, 2, ..., 2, 1) and gamma the truth's
-    scaled DFT. rho is computed once for all samples and each sample's
-    moments once for all nu, so each nu costs O(G) instead of O(G n).
+    scaled DFT. rho is computed once for all samples, and the moments of
+    all samples in one pass over the tables (``_sample_moments``).
+
+    When 2 K <= G (``kde_grid``'s spectral side, always in the study),
+    bin k < K holds order k alone, F_k = rho_k phi_k, and the ISE is a
+    quadratic form in rho. Split around the truth, with e_k = phi_k -
+    gamma_k, each term w_k |rho_k phi_k - gamma_k|^2 is
+    w_k (rho_k^2 |e_k|^2 - 2 rho_k (1 - rho_k) Re(e_k conj gamma_k)
+    + (1 - rho_k)^2 |gamma_k|^2). With V = w |e|^2 and C = w Re(e conj
+    gamma), one row per replicate, the (replicate x nu) curve is
+    V (rho^2)^T - 2 C (rho (1 - rho))^T plus the bias row
+    (1 - rho)^2 w |gamma|^2 and the truth's tail beyond K: two products
+    of (replicates x K) by (K x nus). Every piece is of the order of the
+    ISE itself; expanded around 0 instead (w |phi|^2 and
+    w Re(phi conj gamma)), terms of the size of the integral of f^2 cancel
+    and cost up to 8e-13 relative on the study's cells. Order 0 adds
+    exactly w_0 |1 - gamma_0|^2, since rho_0 = phi_0 = 1. When
+    2 K > G the orders alias onto shared bins, and each replicate's
+    spectrum is folded (``_folded_spectrum``) and compared bin by bin.
     """
     nus = np.asarray(nus, dtype=float)
     if nus.ndim != 1 or nus.size == 0:
@@ -259,18 +284,26 @@ def oracle_mise_curve(samples, truth: DensityGrid, nus) -> np.ndarray:
     g = truth.gridsize
     half = g // 2
     rho = _kernel_coefficients(nus)
-    # Spectral bins the retained orders can reach; truth terms beyond them
-    # enter the ISE as a constant tail.
-    bins = min(rho.shape[1], half + 1)
+    orders = rho.shape[1]
+    phi = _sample_moments(samples, orders)
     gamma = np.fft.rfft(truth.values) * (TWO_PI / g)
     weights = np.full(half + 1, 2.0)
     weights[[0, half]] = 1.0
     power = weights * np.abs(gamma) ** 2
+    if _SPECTRAL_ORDERS * orders <= g:
+        gam, err = gamma[:orders], phi - gamma[:orders]
+        variance = (err.real**2 + err.imag**2) * weights[:orders]
+        cross = (err.real * gam.real + err.imag * gam.imag) * weights[:orders]
+        bias = (1.0 - rho) ** 2 @ power[:orders] + power[orders:].sum()
+        return (variance @ (rho * rho).T - 2.0 * (cross @ (rho * (1.0 - rho)).T) + bias) / TWO_PI
+    # Spectral bins the retained orders can reach; truth terms beyond them
+    # enter the ISE as a constant tail.
+    bins = min(orders, half + 1)
     tail = power[bins:].sum()
     gamma, weights = gamma[:bins], weights[:bins]
-    out = np.empty((len(samples), nus.size))
-    for i, sample in enumerate(samples):
-        diff = _folded_spectrum(rho, _trig_moments(sample, rho.shape[1]), g) - gamma
+    out = np.empty((len(phi), nus.size))
+    for i, row in enumerate(phi):
+        diff = _folded_spectrum(rho, row, g) - gamma
         out[i] = ((diff.real**2 + diff.imag**2) @ weights + tail) / TWO_PI
     return out
 
@@ -297,17 +330,51 @@ def _folded_spectrum(rho: np.ndarray, phi: np.ndarray, g: int) -> np.ndarray:
 
 
 def _trig_moments(sample, orders: int) -> np.ndarray:
-    """phi_m = mean(exp(-i m Theta)), m < orders, from tables made per block of observations."""
-    theta = wrap_angle(_as_sample(sample))
+    """phi_m = mean(exp(-i m Theta)), m < orders, of one sample (``_sample_moments``)."""
+    return _sample_moments([sample], orders)[0]
+
+
+def _sample_moments(samples, orders: int) -> np.ndarray:
+    """phi_m = mean(exp(-i m Theta)), m < orders, per sample: shape (len(samples), orders).
+
+    The samples' angles are concatenated and cut into pieces of at most
+    ``_table_layout``'s step of one sample's observations. Each piece is its
+    own real product high (2Q x n) times low^T (n x 2B), summed per sample:
+    a product over several samples' angles would pass the 2^18
+    multiply-adds at which OpenBLAS threads it. Consecutive pieces share a
+    pass of the two tables while they add up to at most a step, so short
+    samples go through the tables several at a time, a long one piece by
+    piece, and a sample's moments do not depend on the samples beside it.
+    """
+    arrays = [_as_sample(s) for s in samples]
+    bounds = [0, *itertools.accumulate(arr.size for arr in arrays)]
+    theta = np.empty(bounds[-1])
+    for arr, start in zip(arrays, bounds):
+        theta[start : start + arr.size] = wrap_angle(arr)
     base, groups, step = _table_layout(orders)
-    cos_sums, sin_sums = _harmonic_sums(
-        (_trig_table(block, groups, base), _trig_table(block, base, 1))
-        for block in (theta[lo : lo + step] for lo in range(0, theta.size, step))
-    )
-    out = np.empty((groups, base), dtype=complex)
+    pieces = [
+        (i, lo, min(lo + step, end))
+        for i, (start, end) in enumerate(zip(bounds, bounds[1:]))
+        for lo in range(start, end, step)
+    ]
+    products = np.zeros((len(arrays), 2 * groups, 2 * base))
+    first = 0
+    while first < len(pieces):
+        lo = pieces[first][1]
+        last = first + 1
+        while last < len(pieces) and pieces[last][2] - lo <= step:
+            last += 1
+        block = theta[lo : pieces[last - 1][2]]
+        high, low = _trig_table(block, groups, base), _trig_table(block, base, 1)
+        for i, a, b in pieces[first:last]:
+            products[i] += high[:, a - lo : b - lo] @ low[:, a - lo : b - lo].T
+        first = last
+    cos_sums, sin_sums = _angle_addition(products)
+    out = np.empty((len(arrays), groups, base), dtype=complex)
     out.real = cos_sums
-    out.imag = -sin_sums
-    return out.ravel()[:orders] / theta.size
+    np.negative(sin_sums, out=out.imag)
+    out /= np.diff(bounds)[:, None, None]
+    return out.reshape(len(arrays), groups * base)[:, :orders]
 
 
 def _cosine_sums(sample, orders: int):
@@ -349,11 +416,19 @@ def _harmonic_sums(table_blocks) -> tuple[np.ndarray, np.ndarray]:
     """Sums of cos and sin(m Theta), m = g B + j, as Q x B arrays, over (high, low) table blocks.
 
     The real product high (2Q x n) times low^T (n x 2B) sums the products of
-    two table rows. Angle addition combines them: cos(m t) = cos(g B t)
-    cos(j t) - sin(g B t) sin(j t), sin(m t) = sin(g B t) cos(j t) + cos(g B t) sin(j t).
+    two table rows; ``_angle_addition`` combines them.
     """
-    products = sum(high @ low.T for high, low in table_blocks)
-    groups, base = products.shape[0] // 2, products.shape[1] // 2
-    cc, cs = products[:groups, :base], products[:groups, base:]
-    sc, ss = products[groups:, :base], products[groups:, base:]
-    return cc - ss, sc + cs
+    return _angle_addition(sum(high @ low.T for high, low in table_blocks))
+
+
+def _angle_addition(products: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sums of cos and sin(m Theta), m = g B + j, from the (..., 2Q, 2B) table products.
+
+    cos(m t) = cos(g B t) cos(j t) - sin(g B t) sin(j t) and
+    sin(m t) = sin(g B t) cos(j t) + cos(g B t) sin(j t), computed in
+    place: the results are views of ``products``.
+    """
+    groups, base = products.shape[-2] // 2, products.shape[-1] // 2
+    cc, cs = products[..., :groups, :base], products[..., :groups, base:]
+    sc, ss = products[..., groups:, :base], products[..., groups:, base:]
+    return np.subtract(cc, ss, out=cc), np.add(sc, cs, out=sc)

@@ -101,6 +101,9 @@ class CellResult:
     fallback_count: int = 0
     mean_selected_m: float | None = None
     oracle_nu: float | None = None
+    # ORACLE cells: whether the replicate-mean minimum is the grid's last
+    # (largest) nu, so the true minimum may lie beyond the grid.
+    oracle_edge_hit: bool | None = None
     errors: int = 0
     # The first failing replicate: its replay key (model, n, replicate,
     # em_seed) and the exception's message.
@@ -125,7 +128,11 @@ class SimulationReport:
         return json.dumps(self.to_dict(), indent=indent)
 
     def to_table(self) -> str:
-        """Aligned text table, one block per sample size, MISE x100 (sd x100)."""
+        """Aligned text table, one block per sample size, MISE x100 (sd x100).
+
+        An ORACLE cell whose minimum is the grid's largest nu is marked with
+        ``*`` and explained in a footnote.
+        """
         lines: list[str] = []
         sizes = sorted({c.n for c in self.cells})
         models = sorted({c.model for c in self.cells}, key=lambda m: int(m[1:]))
@@ -142,8 +149,12 @@ class SimulationReport:
                     except KeyError:
                         row += "-".rjust(20)
                         continue
-                    row += f"{100 * c.mean_ise:.4f} ({100 * c.sd_ise:.4f})".rjust(20)
+                    mark = "*" if c.oracle_edge_hit else ""
+                    row += f"{100 * c.mean_ise:.4f} ({100 * c.sd_ise:.4f}){mark}".rjust(20)
                 lines.append(row)
+            lines.append("")
+        if any(c.oracle_edge_hit for c in self.cells):
+            lines.append(f"* {ORACLE} minimum at the largest nu of its grid: the true minimum may lie beyond it.")
             lines.append("")
         return "\n".join(lines)
 
@@ -284,6 +295,7 @@ def _oracle_cell(model_id, n, samples, truth) -> CellResult:
         sd_ise=sd,
         replicates=len(samples),
         oracle_nu=float(nu_grid[best]),
+        oracle_edge_hit=best == nu_grid.size - 1,
     )
 
 

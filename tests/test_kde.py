@@ -22,6 +22,7 @@ from circkde.kde import (
 )
 from circkde.models import TWO_PI, VonMises, VonMisesMixture, wrap_angle
 from circkde.rng import make_rng
+from circkde.selectors import NuSearchDomain
 
 
 @pytest.fixture(scope="module")
@@ -479,3 +480,76 @@ class TestMomentIse:
             oracle_mise_curve([m2_sample], truth, np.array([]))
         with pytest.raises(ValueError):
             oracle_mise_curve([np.array([])], truth, np.array([1.0]))
+
+
+def folded_curve(samples, truth, nus):
+    """The ISE curve one replicate at a time, every spectrum folded bin by bin."""
+    g = truth.gridsize
+    rho = _kernel_coefficients(nus)
+    bins = min(rho.shape[1], g // 2 + 1)
+    gamma = np.fft.rfft(truth.values) * (TWO_PI / g)
+    weights = np.full(g // 2 + 1, 2.0)
+    weights[[0, g // 2]] = 1.0
+    tail = (weights * np.abs(gamma) ** 2)[bins:].sum()
+    out = []
+    for sample in samples:
+        diff = kmod._folded_spectrum(rho, kmod._trig_moments(sample, rho.shape[1]), g) - gamma[:bins]
+        out.append(((diff.real**2 + diff.imag**2) @ weights[:bins] + tail) / TWO_PI)
+    return np.array(out)
+
+
+class TestOracleBlocks:
+    """``oracle_mise_curve``'s quadratic form and its blocks of replicates."""
+
+    @pytest.mark.parametrize("n", [100, 250, 500])
+    @pytest.mark.parametrize("mid", ["M1", "M2", "M7", "M17", "M20"])
+    def test_quadratic_form_matches_fold_loop(self, mid, n):
+        model = get_model(mid)
+        truth = density_grid_of(model, 1024)
+        samples = [model.sample(n, make_rng(20260810, int(mid[1:]), n, r)) for r in range(20)]
+        nus = NuSearchDomain.for_sample_size(n).probes()
+        assert kmod._SPECTRAL_ORDERS * _order_count(nus.max()) <= truth.gridsize  # no aliasing
+        got = oracle_mise_curve(samples, truth, nus)
+        np.testing.assert_allclose(got, folded_curve(samples, truth, nus), rtol=1e-12, atol=0)
+
+    def test_blocks_are_bit_identical(self, monkeypatch):
+        # At nu <= 5 (K = 26, B = 6, Q = 5) and 1000 cells, a product and a table
+        # pass take at most 33 observations, so these replicates, 1 to 33 long, are
+        # one product each at both sizes: only the table passes they share change.
+        model = get_model("M7")
+        rng = make_rng(4, 7)
+        samples = [model.sample(int(n), rng) for n in rng.integers(1, 34, 80)]
+        nus = np.geomspace(0.05, 5.0, 12)
+        truth = density_grid_of(model, 1024)
+        whole = oracle_mise_curve(samples, truth, nus)
+        monkeypatch.setattr(kmod, "_CHUNK_CELLS", 1000)
+        assert kmod._table_layout(_order_count(5.0)) == (6, 5, 33)
+        np.testing.assert_array_equal(oracle_mise_curve(samples, truth, nus), whole)
+
+    def test_moments_do_not_depend_on_the_batch(self):
+        # Each sample is cut into the same products alone or among others
+        # (n = 2000 into three), so its moments keep their bits.
+        model = get_model("M7")
+        samples = [model.sample(n, make_rng(5, n)) for n in (1, 30, 250, 2000, 7)]
+        got = kmod._sample_moments(samples, 87)
+        assert kmod._table_layout(87)[2] < 2000
+        for row, sample in zip(got, samples):
+            np.testing.assert_array_equal(row, kmod._trig_moments(sample, 87))
+
+    def test_curve_memory(self):
+        # 1,000 replicates of 500 observations: unblocked, the two tables would take
+        # 2 (B + Q) n floats, 160 MB; blocked, one copy of the angles (4 MB) and
+        # the per-replicate products and moments dominate (9.3 MB in all).
+        model = get_model("M20")
+        samples = [model.sample(500, make_rng(7, r)) for r in range(1000)]
+        truth = density_grid_of(model, 1024)
+        nus = NuSearchDomain.for_sample_size(500).probes()
+        tracemalloc.start()
+        try:
+            curve = oracle_mise_curve(samples, truth, nus)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        angles = 8 * 500 * 1000
+        assert curve.shape == (1000, nus.size)
+        assert peak < 3 * angles, peak

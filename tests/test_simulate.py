@@ -90,6 +90,26 @@ class TestRunExperiment:
         text = report.to_table()
         assert "n=100" in text and "M2" in text and "ORACLE" in text
 
+    def test_oracle_edge_hit(self, small_report):
+        # At 20 replicates M17's replicate-mean minimum at n = 500 is the grid's
+        # largest nu, and M2's at n = 250 is interior.
+        cfg = ExperimentConfig(
+            models=("M2", "M17"), sample_sizes=(250, 500), replicates=20, selectors=(ORACLE,)
+        )
+        report = run_experiment(cfg)
+        hit, interior = report.cell("M17", 500, ORACLE), report.cell("M2", 250, ORACLE)
+        assert hit.oracle_edge_hit is True
+        assert hit.oracle_nu == simulate.default_oracle_grid(500)[-1]
+        assert interior.oracle_edge_hit is False
+        assert interior.oracle_nu < simulate.default_oracle_grid(250)[-1]
+        assert json.loads(report.to_json())["cells"][0]["oracle_edge_hit"] is not None
+        lines = report.to_table().splitlines()
+        assert next(line for line in lines if line.startswith("M17")).endswith("*")
+        assert lines[-1].startswith("* ORACLE minimum at the largest nu")
+        _, small = small_report
+        assert all(c.oracle_edge_hit is None for c in small.cells if c.selector != ORACLE)
+        assert "*" not in small.to_table()
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             ExperimentConfig(models=("M99",))
