@@ -31,9 +31,6 @@ OVERFLOW_THRESHOLD = 700.0
 # A(KAPPA_CAP): resultant lengths at or above this saturate the inversion.
 _A_AT_CAP = float(i1e(KAPPA_CAP) / i0e(KAPPA_CAP))
 
-# A^{-1} keeps its start if every |A(start) - rbar| is below this.
-_NEWTON_TOL = 1e-12
-
 # Orders whose kernel coefficient rho_m(nu_max) is at most this are dropped.
 # |phi_m| <= 1, so each dropped term is below double precision of the
 # estimator's Fourier coefficients, whose order 0 term is 1.
@@ -82,14 +79,14 @@ def inverse_mean_resultant_ratio(rbar):
     import on 1025 nodes. h is smooth on [0, 1): 2 + O(r^2) near 0 and
     about 1/2 near 1, so linear interpolation puts
     kappa_0 = r h(r) / (1 - r) within 1e-6 relative of the root, and
-    kappa_0 = 2 rbar for tiny rbar. Unless every start meets
-    |A(kappa) - rbar| < 1e-12, one safeguarded Newton step (A'(kappa) =
-    1 - A/kappa - A^2) leaves each within 2.4e-14. Results are capped at
-    ``KAPPA_CAP``; inputs at or above A(KAPPA_CAP) (in particular
-    rbar >= 1) return the cap, which callers can detect with
-    :func:`is_saturated`. When every entry of an array is interior, the
-    whole input is the Newton batch that the masked path would build from
-    it, so both give the same bits; a scalar takes the masked path.
+    kappa_0 = 2 rbar for tiny rbar. One safeguarded Newton step
+    (A'(kappa) = 1 - A/kappa - A^2) leaves each within 2.4e-14, whatever
+    else the batch holds. Results are capped at ``KAPPA_CAP``; inputs at or
+    above A(KAPPA_CAP) (in particular rbar >= 1) return the cap, which
+    callers can detect with :func:`is_saturated`. When every entry of an
+    array is interior, the whole input is the Newton batch that the masked
+    path would build from it, so both give the same bits; a scalar takes
+    the masked path.
     """
     r = np.asarray(rbar, dtype=float)
     lo = np.minimum.reduce(r, axis=None, initial=np.inf)
@@ -235,8 +232,6 @@ def _newton_inverse(r: np.ndarray) -> np.ndarray:
     a = i1e(k)
     a /= i0e(k)
     f = a - r
-    if np.maximum.reduce(np.abs(f), axis=None) < _NEWTON_TOL:
-        return k
     # f / A'(k), with A'(k) = 1 - A/k - A^2 evaluated left to right.
     slope = np.divide(a, k)
     np.subtract(1.0, slope, out=slope)

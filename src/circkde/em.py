@@ -191,15 +191,12 @@ def _unit_vectors(sample) -> np.ndarray:
     return np.stack((np.cos(arr), np.sin(arr), np.ones_like(arr)))
 
 
-def _initial_centers(arr: np.ndarray, M: int, rng) -> np.ndarray:
-    """Farthest-point sweeps, each from a seeded random start.
+def _initial_centers(arr: np.ndarray, M: int, rngs) -> np.ndarray:
+    """Farthest-point sweeps, each from a seeded random start: one row of M centres per generator.
 
-    ``rng`` is one generator, for M centres, or a sequence of them, for one
-    row of M centres each. The rows run together on (rows, n) distance
-    arrays; each does the arithmetic of its own sweep, so it does not
-    depend on the others.
+    The rows run together on (rows, n) distance arrays; each does the
+    arithmetic of its own sweep, so it does not depend on the others.
     """
-    rngs = [rng] if isinstance(rng, np.random.Generator) else rng
     idx = np.empty((len(rngs), M), dtype=np.intp)
     idx[:, 0] = [g.integers(arr.size) for g in rngs]
     d = _circ_dist(arr, arr[idx[:, :1]])
@@ -207,8 +204,7 @@ def _initial_centers(arr: np.ndarray, M: int, rng) -> np.ndarray:
         idx[:, j] = np.argmax(d, axis=1)
         if j + 1 < M:
             np.minimum(d, _circ_dist(arr, arr[idx[:, j : j + 1]]), out=d)
-    centers = arr[idx]
-    return centers if rngs is rng else centers[0]
+    return arr[idx]
 
 
 def _circ_dist(a: np.ndarray, b) -> np.ndarray:

@@ -14,17 +14,18 @@ table is the powers of exp(i Theta) or exp(i B Theta), one complex product
 per row, so both cost 4 n cos/sin calls and (B + Q) n complex products
 instead of 2 K n trigonometric evaluations. The error still grows like
 pi m 1e-16, now from rounding B Theta rather than m Theta, plus a few
-1e-16 per power. ``_sample_moments`` gets phi_m of one sample or of many
-as real matrix products of the tables, one per piece of a sample, with
-the samples' angles run through the tables together in cache-sized
-blocks. From them ``kde_grid`` gets the density grid by one inverse FFT
-(``_folded_spectrum`` folds the coefficients onto the grid's DFT bins),
+1e-16 per power. ``_table_pieces`` is the one loop that cuts samples into
+cache-sized pieces and builds their tables, short samples several per
+pass, for real matrix products of a piece's two tables. ``_sample_moments``
+sums them into phi_m of one sample or of many, from which ``kde_grid``
+gets the density grid by one inverse FFT of rho phi and
 ``oracle_mise_curve`` the oracle's ISE curve for a whole set of
 replicates, as two (replicates x K) by (K x nus) products of a quadratic
-form in rho (per-replicate folding when orders alias), and
-``_cosine_sums`` the sums behind ``selectors.lcv``'s estimator at its own
-sample points: one more real product of the low table per nu, in
-2 (B + Q) n floats rather than a K x n table or an n x n kernel matrix.
+form in rho (``_folded_spectrum`` folds its orders only when 2 K > G).
+``_cosine_sums`` keeps a sample's pieces for the sums behind
+``selectors.lcv``'s estimator at its own sample points: one more real
+product of a low table per nu, in 2 (B + Q) n floats rather than a K x n
+table or an n x n kernel matrix.
 All keep the K orders ``bessel._order_count`` retains; rho_m and its
 truncation belong to ``bessel``. ``kde_evaluate`` and the grid cells the
 spectrum cannot resolve to 1e-12 relative stay with the direct kernel sums.
@@ -134,11 +135,12 @@ def kde_grid(fit: KdeFit, gridsize: int = DEFAULT_GRIDSIZE) -> DensityGrid:
 
     With K = ``bessel._order_count(nu)`` orders and G = ``gridsize``, the
     grid is f(theta_j) = (1 / 2 pi) sum_m rho_|m|(nu) phi_m exp(i m theta_j),
-    from the sample's moments phi_m (``_trig_moments``) and one inverse FFT
-    of length G: O(K n + G log G) instead of G n kernel values. The FFT's
-    error is absolute, a few 1e-16 of a kernel's peak, so every cell below
-    ``_GUARD`` times that peak is recomputed by the direct ``_kernel_mean``;
-    no cell is negative, and tails keep the direct sums' relative accuracy.
+    one inverse FFT of length G of rho_m phi_m, m < K (``_sample_moments``),
+    unfolded since 2 K <= G puts no two orders on one bin: O(K n + G log G)
+    instead of G n kernel values. The FFT's error is absolute, a few 1e-16
+    of a kernel's peak, so every cell below ``_GUARD`` times that peak is
+    recomputed by the direct ``_kernel_mean``; no cell is negative, and
+    tails keep the direct sums' relative accuracy.
     When 2 K > G (nu above about 3,300 at G = 1024) the spectrum costs
     about as much as the G x n kernel values and the whole grid is summed
     directly.
@@ -148,9 +150,8 @@ def kde_grid(fit: KdeFit, gridsize: int = DEFAULT_GRIDSIZE) -> DensityGrid:
     orders = _order_count(fit.nu)
     if _SPECTRAL_ORDERS * orders > gridsize:
         return DensityGrid(_kernel_mean(thetas, fit.sample, fit.nu))
-    rho = _kernel_coefficients(np.array([fit.nu]), orders)
-    spectrum = _folded_spectrum(rho, _trig_moments(fit.sample, orders), gridsize)[0]
-    values = np.fft.irfft(spectrum, gridsize) * (gridsize / TWO_PI)
+    rho = _kernel_coefficients(np.array([fit.nu]), orders)[0]
+    values = np.fft.irfft(rho * _sample_moments([fit.sample], orders)[0], gridsize) * (gridsize / TWO_PI)
     low = np.flatnonzero(values < _GUARD / (TWO_PI * i0e(fit.nu)))
     values[low] = _kernel_mean(thetas[low], fit.sample, fit.nu)
     return DensityGrid(values)
@@ -258,10 +259,10 @@ def oracle_mise_curve(samples, truth: DensityGrid, nus) -> np.ndarray:
     and by Parseval the grid ISE is (1/2 pi) sum_k w_k |F_k - gamma_k|^2
     over k = 0..G/2, with w = (1, 2, ..., 2, 1) and gamma the truth's
     scaled DFT. rho is computed once for all samples, and the moments of
-    all samples in one pass over the tables (``_sample_moments``).
+    all samples in shared table passes (``_sample_moments``).
 
-    When 2 K <= G (``kde_grid``'s spectral side, always in the study),
-    bin k < K holds order k alone, F_k = rho_k phi_k, and the ISE is a
+    When 2 K <= G (always in the study), bin k < K holds order k alone,
+    F_k = rho_k phi_k, as on ``kde_grid``'s spectral side, and the ISE is a
     quadratic form in rho. Split around the truth, with e_k = phi_k -
     gamma_k, each term w_k |rho_k phi_k - gamma_k|^2 is
     w_k (rho_k^2 |e_k|^2 - 2 rho_k (1 - rho_k) Re(e_k conj gamma_k)
@@ -329,24 +330,36 @@ def _folded_spectrum(rho: np.ndarray, phi: np.ndarray, g: int) -> np.ndarray:
     return spectrum
 
 
-def _trig_moments(sample, orders: int) -> np.ndarray:
-    """phi_m = mean(exp(-i m Theta)), m < orders, of one sample (``_sample_moments``)."""
-    return _sample_moments([sample], orders)[0]
-
-
 def _sample_moments(samples, orders: int) -> np.ndarray:
     """phi_m = mean(exp(-i m Theta)), m < orders, per sample: shape (len(samples), orders).
 
-    The samples' angles are concatenated and cut into pieces of at most
-    ``_table_layout``'s step of one sample's observations. Each piece is its
-    own real product high (2Q x n) times low^T (n x 2B), summed per sample:
-    a product over several samples' angles would pass the 2^18
-    multiply-adds at which OpenBLAS threads it. Consecutive pieces share a
-    pass of the two tables while they add up to at most a step, so short
-    samples go through the tables several at a time, a long one piece by
-    piece, and a sample's moments do not depend on the samples beside it.
+    One real product high (2Q x n) times low^T (n x 2B) per piece
+    (``_table_pieces``), summed per sample: a product over several samples'
+    angles would pass the 2^18 multiply-adds at which OpenBLAS threads it.
+    A sample's pieces, so its moments, do not depend on the samples beside it.
     """
     arrays = [_as_sample(s) for s in samples]
+    base, groups, _ = _table_layout(orders)
+    products = np.zeros((len(arrays), 2 * groups, 2 * base))
+    for i, _, high, low in _table_pieces(arrays, orders):
+        products[i] += high @ low.T
+    cos_sums, sin_sums = _angle_addition(products)
+    out = np.empty((len(arrays), groups, base), dtype=complex)
+    out.real = cos_sums
+    np.negative(sin_sums, out=out.imag)
+    out /= np.array([arr.size for arr in arrays])[:, None, None]
+    return out.reshape(len(arrays), groups * base)[:, :orders]
+
+
+def _table_pieces(arrays, orders: int):
+    """Yield (i, span, high, low): a piece of sample i, its slice of the angles and its tables.
+
+    The samples' wrapped angles are concatenated (``span`` indexes them)
+    and cut into pieces of at most ``_table_layout``'s step of one sample's
+    observations. Consecutive pieces share a pass of ``_trig_table`` while
+    they add up to at most a step, so short samples go through the tables
+    several at a time, a long one piece by piece.
+    """
     bounds = [0, *itertools.accumulate(arr.size for arr in arrays)]
     theta = np.empty(bounds[-1])
     for arr, start in zip(arrays, bounds):
@@ -357,7 +370,6 @@ def _sample_moments(samples, orders: int) -> np.ndarray:
         for i, (start, end) in enumerate(zip(bounds, bounds[1:]))
         for lo in range(start, end, step)
     ]
-    products = np.zeros((len(arrays), 2 * groups, 2 * base))
     first = 0
     while first < len(pieces):
         lo = pieces[first][1]
@@ -367,14 +379,8 @@ def _sample_moments(samples, orders: int) -> np.ndarray:
         block = theta[lo : pieces[last - 1][2]]
         high, low = _trig_table(block, groups, base), _trig_table(block, base, 1)
         for i, a, b in pieces[first:last]:
-            products[i] += high[:, a - lo : b - lo] @ low[:, a - lo : b - lo].T
+            yield i, slice(a, b), high[:, a - lo : b - lo], low[:, a - lo : b - lo]
         first = last
-    cos_sums, sin_sums = _angle_addition(products)
-    out = np.empty((len(arrays), groups, base), dtype=complex)
-    out.real = cos_sums
-    np.negative(sin_sums, out=out.imag)
-    out /= np.diff(bounds)[:, None, None]
-    return out.reshape(len(arrays), groups * base)[:, :orders]
 
 
 def _cosine_sums(sample, orders: int):
@@ -385,16 +391,13 @@ def _cosine_sums(sample, orders: int):
     as Q x B matrices (m = g B + j, zero from K on), angle addition gives
     S_i = sum_g cos(g B Theta_i) U_gi + sin(g B Theta_i) V_gi with
     [U; V] = [[C, D], [D, -C]] [cos; sin](j Theta): per coef, one real
-    product with the low table (4 K n multiply-adds), in the blocks of
-    ``_trig_moments``. The two tables, 2 (B + Q) n floats, are built once.
+    product with the low table (4 K n multiply-adds) of each of the
+    sample's pieces (``_table_pieces``), kept in 2 (B + Q) n floats.
     """
-    theta = wrap_angle(_as_sample(sample))
-    base, groups, step = _table_layout(orders)
-    high = _trig_table(theta, groups, base)
-    low = _trig_table(theta, base, 1)
-    spans = (slice(lo, lo + step) for lo in range(0, theta.size, step))
-    blocks = [(span, high[:, span], low[:, span]) for span in spans]
-    a, b = _harmonic_sums((high_block, low_block) for _, high_block, low_block in blocks)
+    arr = _as_sample(sample)
+    base, groups, _ = _table_layout(orders)
+    pieces = list(_table_pieces([arr], orders))
+    a, b = _angle_addition(sum(high @ low.T for _, _, high, low in pieces))
     # pattern[h, g, l, j] is [[a, b], [b, -a]], so pattern * coef is [[C, D], [D, -C]].
     pattern = np.stack([np.stack([a, b], axis=1), np.stack([b, -a], axis=1)])
     padded = np.zeros(groups * base)
@@ -402,23 +405,14 @@ def _cosine_sums(sample, orders: int):
     def sums(coef: np.ndarray) -> np.ndarray:
         padded[:orders] = coef
         w = (pattern * padded.reshape(groups, 1, base)).reshape(2 * groups, 2 * base)
-        out = np.empty(theta.size)
-        for span, high_block, low_block in blocks:
-            uv = w @ low_block
-            uv *= high_block
+        out = np.empty(arr.size)
+        for _, span, high, low in pieces:
+            uv = w @ low
+            uv *= high
             out[span] = uv.sum(axis=0)
         return out
 
     return sums
-
-
-def _harmonic_sums(table_blocks) -> tuple[np.ndarray, np.ndarray]:
-    """Sums of cos and sin(m Theta), m = g B + j, as Q x B arrays, over (high, low) table blocks.
-
-    The real product high (2Q x n) times low^T (n x 2B) sums the products of
-    two table rows; ``_angle_addition`` combines them.
-    """
-    return _angle_addition(sum(high @ low.T for high, low in table_blocks))
 
 
 def _angle_addition(products: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -8,8 +8,8 @@ Three data-driven selectors, which ``simulate.select`` dispatches by name:
                       numerically. Falls back to the rule of thumb when no
                       valid reference mixture exists.
 * ``lcv``           - maximizes the leave-one-out log-likelihood, with the
-                      leave-one-out sums taken from ``kde``'s two
-                      trigonometric tables (``kde._cosine_sums``): O((B + Q) n)
+                      leave-one-out sums taken from its pieces of ``kde``'s
+                      two trigonometric tables (``kde._cosine_sums``): O((B + Q) n)
                       memory, B + Q about 2 sqrt(K), and O(K n) time per nu,
                       not O(n^2). Its guard rows use ``kde._kernel_sums``.
 
@@ -247,8 +247,8 @@ def lcv(sample, domain: NuSearchDomain | None = None) -> BandwidthResult:
     exp(nu cos x) = I_0(nu) (1 + 2 sum_m rho_m(nu) cos(m x)) gives each
     row's leave-one-out sum as i0e(nu) S_i - 1, where
     S_i = sum_m rho~_m sum_j cos(m (Theta_i - Theta_j)) and
-    rho~ = (1, 2 rho_1, 2 rho_2, ...). ``kde._cosine_sums`` builds the
-    sample's two trigonometric tables once per call and gives S for each
+    rho~ = (1, 2 rho_1, 2 rho_2, ...). ``kde._cosine_sums`` keeps its
+    pieces of the two trigonometric tables and gives S for each
     nu in O(K n) time and 2 (B + Q) n floats, B + Q about 2 sqrt(K). Rows
     whose sum falls below ``_DIRECT_BELOW`` are recomputed by the direct
     sum. ``diagnostics`` holds ``orders`` (K), ``direct_rows`` (recomputed

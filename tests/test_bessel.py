@@ -253,12 +253,12 @@ class TestInverse:
         assert np.all(np.diff(k) >= 0)
 
     def test_tabulated_start_is_close(self, sweep):
-        # A^{-1} takes at most one Newton step, which from within 1e-6 meets 1e-12.
+        # A^{-1} takes one Newton step from this start, which lies within 1e-6 of its result.
         r, k = sweep
         np.testing.assert_allclose(_newton_start(r), k, rtol=1e-6, atol=0)
 
-    # The stop rule bounds kappa's error by 1e-12 / A'(kappa), about
-    # 2 kappa^2 1e-12: 1e-10 relative up to kappa = 50 (rbar = 0.99).
+    # One Newton step from a start within 1e-6 relative squares that error;
+    # the docstring's 2.4e-14 is checked at small rbar below, 1e-10 here.
     @pytest.mark.parametrize(
         "rbar", [1e-6, 0.01, 0.1, 0.3, 0.45, 0.53, 0.7, 0.85, 0.9, 0.95, 0.99]
     )
@@ -268,6 +268,22 @@ class TestInverse:
         k = inverse_mean_resultant_ratio(rbar)
         root = mp.findroot(lambda x: mp.besseli(1, x) / mp.besseli(0, x) - rbar, k)
         assert k == pytest.approx(float(root), rel=1e-10)
+
+    @pytest.mark.parametrize("rbar", [1e-9, 1e-7, 1e-5])
+    def test_newton_step_alone_and_batched(self, rbar):
+        # Every value takes the step: kappa does not depend on the values beside
+        # it, and keeps no start that is already close in A but not in kappa.
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 40
+        k = inverse_mean_resultant_ratio(rbar)
+        assert inverse_mean_resultant_ratio(np.array([rbar, 0.5]))[0] == k
+        root = mp.findroot(lambda x: mp.besseli(1, x) / mp.besseli(0, x) - rbar, k)
+        assert k == pytest.approx(float(root), rel=1e-14)
+
+    def test_table_nodes_alone_and_batched(self):
+        nodes = _R_NODES[1:-1]
+        batched = inverse_mean_resultant_ratio(np.column_stack([nodes, np.full(nodes.size, 0.5)]))[:, 0]
+        np.testing.assert_array_equal([inverse_mean_resultant_ratio(r) for r in nodes.tolist()], batched)
 
     @pytest.mark.parametrize("rbar", [5e-324, 1e-310, 1e-300, 1e-20])
     def test_tiny_rbar_is_twice_rbar(self, rbar):

@@ -172,7 +172,7 @@ class TestEmFit:
         x = get_model("M7").sample(250, make_rng(21, 7, 250))
         cfg = EmConfig(n_restarts=1, seed=5)
         fit = em_fit(x, M, cfg)
-        centers = _initial_centers(x, M, make_rng(cfg.seed, M, 0))
+        centers = _initial_centers(x, M, [make_rng(cfg.seed, M, 0)])[0]
         ll, n_iter, converged = reference_em(x, centers, cfg)
         assert (fit.n_iter, fit.converged) == (n_iter, converged)
         assert fit.log_likelihood == pytest.approx(ll, rel=1e-9)
@@ -206,7 +206,7 @@ class TestRestarts:
         # Eight restarts of one M = 4 fit: seven converge at iterations 34-39,
         # one stops at max_iter.
         x = get_model("M20").sample(250, make_rng(42, 20, 250))
-        mus0 = np.stack([_initial_centers(x, 4, make_rng(0, 4, r)) for r in range(8)])
+        mus0 = _initial_centers(x, 4, [make_rng(0, 4, r) for r in range(8)])
         u, cfg = _unit_vectors(x), EmConfig(max_iter=60)
         alone = [_run_em_restarts(u, mus0[[r]], cfg) for r in range(8)]
         assert len({f.n_iter for f in alone}) >= 5
@@ -415,7 +415,7 @@ class TestInitialCenters:
             batch = _initial_centers(x, M, rngs)
             rows = np.stack([self.one_sweep(x, M, make_rng(7, M, r)) for r in range(5)])
             np.testing.assert_array_equal(batch, rows)
-            np.testing.assert_array_equal(_initial_centers(x, M, make_rng(7, M, 2)), rows[2])
+            np.testing.assert_array_equal(_initial_centers(x, M, [make_rng(7, M, 2)])[0], rows[2])
 
 
 class TestAic:

@@ -210,8 +210,8 @@ class TestSpectralGrid:
         got = kde_grid(fit, g).values
         ref = kmod._kernel_mean(grid_thetas(g), fit.sample, nu)
         rho = _kernel_coefficients(np.array([nu]), _order_count(nu))
-        phi = kmod._trig_moments(fit.sample, rho.shape[1])
-        unguarded = np.fft.irfft(kmod._folded_spectrum(rho, phi, g)[0], g) * (g / TWO_PI)
+        phi = kmod._sample_moments([fit.sample], rho.shape[1])[0]
+        unguarded = np.fft.irfft(rho[0] * phi, g) * (g / TWO_PI)
         guard = kmod._GUARD / (TWO_PI * i0e(nu))
         guarded = unguarded < guard
         assert (unguarded < 0).any()
@@ -228,7 +228,7 @@ def longdouble_harmonics(theta, lo, hi):
 
 
 def longdouble_moments(theta, orders, rows=32):
-    """``_trig_moments`` in long double, ``rows`` orders at a time."""
+    """``_sample_moments`` of one sample in long double, ``rows`` orders at a time."""
     out = np.empty(orders, dtype=complex)
     for lo in range(0, orders, rows):
         hi = min(lo + rows, orders)
@@ -278,8 +278,8 @@ class TestBlocks:
 
     ``_CHUNK_CELLS`` is patched to 1000 cells, so that n = 250 runs in kernel
     blocks of 4 rows and the last block is partial. With 30 orders the
-    tables hold B = 6 low and Q = 5 high orders, and ``_trig_moments`` and
-    ``_cosine_sums`` run over 8 blocks of 33 observations, the last partial.
+    tables hold B = 6 low and Q = 5 high orders, and ``_table_pieces`` cuts
+    the sample into 8 pieces of 33 observations, the last partial.
     """
 
     @pytest.fixture
@@ -288,32 +288,29 @@ class TestBlocks:
         return get_model("M12").sample(250, make_rng(3, 12))
 
     def test_harmonic_blocks(self, small_blocks):
-        # cos and sin(m Theta_i), m = g B + j, by angle addition from one
-        # observation's columns of its block's two tables, and their sums
-        # over the observation blocks of _trig_moments and _cosine_sums
+        """cos and sin(m Theta_i), m = g B + j, by angle addition from one
+        observation's columns of its piece's two tables, and their sums over
+        the pieces of ``_table_pieces``."""
         orders = 30
-        theta = wrap_angle(small_blocks)
-        base, groups, step = kmod._table_layout(orders)
-        spans = [(lo, min(lo + step, theta.size)) for lo in range(0, theta.size, step)]
+        base, groups, _ = kmod._table_layout(orders)
+        pieces = list(kmod._table_pieces([small_blocks], orders))
+        spans = [(span.start, span.stop) for _, span, _, _ in pieces]
         assert spans == [(lo, lo + 33) for lo in range(0, 231, 33)] + [(231, 250)]
         cos, sin = longdouble_harmonics(small_blocks, 0, base * groups)
         bound = harmonic_bound(base * groups)
-        tables = []
-        for lo, hi in spans:
-            high = kmod._trig_table(theta[lo:hi], groups, base)
-            low = kmod._trig_table(theta[lo:hi], base, 1)
-            tables.append((high, low))
-            for k in range(hi - lo):
-                c, s = kmod._harmonic_sums([(high[:, k : k + 1], low[:, k : k + 1])])
-                np.testing.assert_allclose(c.ravel(), cos[:, lo + k].astype(float), rtol=0, atol=bound)
-                np.testing.assert_allclose(s.ravel(), sin[:, lo + k].astype(float), rtol=0, atol=bound)
-        c, s = kmod._harmonic_sums(tables)
-        np.testing.assert_allclose(c.ravel(), cos.sum(axis=1).astype(float), rtol=0, atol=theta.size * bound)
-        np.testing.assert_allclose(s.ravel(), sin.sum(axis=1).astype(float), rtol=0, atol=theta.size * bound)
+        for _, span, high, low in pieces:
+            for k in range(span.stop - span.start):
+                c, s = kmod._angle_addition(high[:, k : k + 1] @ low[:, k : k + 1].T)
+                np.testing.assert_allclose(c.ravel(), cos[:, span.start + k].astype(float), rtol=0, atol=bound)
+                np.testing.assert_allclose(s.ravel(), sin[:, span.start + k].astype(float), rtol=0, atol=bound)
+        c, s = kmod._angle_addition(sum(high @ low.T for _, _, high, low in pieces))
+        atol = small_blocks.size * bound
+        np.testing.assert_allclose(c.ravel(), cos.sum(axis=1).astype(float), rtol=0, atol=atol)
+        np.testing.assert_allclose(s.ravel(), sin.sum(axis=1).astype(float), rtol=0, atol=atol)
 
     def test_trig_moments(self, small_blocks):
         orders = 30
-        got = kmod._trig_moments(small_blocks, orders)
+        got = kmod._sample_moments([small_blocks], orders)[0]
         np.testing.assert_allclose(got, longdouble_moments(small_blocks, orders), rtol=0, atol=harmonic_bound(orders))
         assert got[0] == 1.0
 
@@ -341,7 +338,7 @@ class TestTrigTables:
     def test_trig_moments(self, orders, n):
         # K = 2799 is _order_count(KAPPA_CAP); 281 is LCV's K at n = 100,000.
         theta = get_model("M16").sample(n, make_rng(6, 16, n))
-        got = kmod._trig_moments(theta, orders)
+        got = kmod._sample_moments([theta], orders)[0]
         np.testing.assert_allclose(got, longdouble_moments(theta, orders), rtol=0, atol=harmonic_bound(orders))
 
     @pytest.mark.parametrize("orders,n", [(2799, 50), (2799, 100)])
@@ -354,7 +351,7 @@ class TestTrigTables:
         theta = get_model("M16").sample(100_000, make_rng(6, 16))
         tracemalloc.start()
         try:
-            kmod._trig_moments(theta, 281)
+            kmod._sample_moments([theta], 281)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -482,19 +479,19 @@ class TestMomentIse:
             oracle_mise_curve([np.array([])], truth, np.array([1.0]))
 
 
-def folded_curve(samples, truth, nus):
-    """The ISE curve one replicate at a time, every spectrum folded bin by bin."""
+def parseval_curve(samples, truth, nus):
+    """The ISE curve one replicate at a time, by Parseval over the unfolded spectrum rho phi (2 K <= G)."""
     g = truth.gridsize
     rho = _kernel_coefficients(nus)
-    bins = min(rho.shape[1], g // 2 + 1)
     gamma = np.fft.rfft(truth.values) * (TWO_PI / g)
     weights = np.full(g // 2 + 1, 2.0)
     weights[[0, g // 2]] = 1.0
-    tail = (weights * np.abs(gamma) ** 2)[bins:].sum()
+    spectrum = np.zeros((nus.size, g // 2 + 1), dtype=complex)
     out = []
     for sample in samples:
-        diff = kmod._folded_spectrum(rho, kmod._trig_moments(sample, rho.shape[1]), g) - gamma[:bins]
-        out.append(((diff.real**2 + diff.imag**2) @ weights[:bins] + tail) / TWO_PI)
+        spectrum[:, : rho.shape[1]] = rho * kmod._sample_moments([sample], rho.shape[1])[0]
+        diff = spectrum - gamma
+        out.append((diff.real**2 + diff.imag**2) @ weights / TWO_PI)
     return np.array(out)
 
 
@@ -510,7 +507,7 @@ class TestOracleBlocks:
         nus = NuSearchDomain.for_sample_size(n).probes()
         assert kmod._SPECTRAL_ORDERS * _order_count(nus.max()) <= truth.gridsize  # no aliasing
         got = oracle_mise_curve(samples, truth, nus)
-        np.testing.assert_allclose(got, folded_curve(samples, truth, nus), rtol=1e-12, atol=0)
+        np.testing.assert_allclose(got, parseval_curve(samples, truth, nus), rtol=1e-12, atol=0)
 
     def test_blocks_are_bit_identical(self, monkeypatch):
         # At nu <= 5 (K = 26, B = 6, Q = 5) and 1000 cells, a product and a table
@@ -534,7 +531,7 @@ class TestOracleBlocks:
         got = kmod._sample_moments(samples, 87)
         assert kmod._table_layout(87)[2] < 2000
         for row, sample in zip(got, samples):
-            np.testing.assert_array_equal(row, kmod._trig_moments(sample, 87))
+            np.testing.assert_array_equal(row, kmod._sample_moments([sample], 87)[0])
 
     def test_curve_memory(self):
         # 1,000 replicates of 500 observations: unblocked, the two tables would take
