@@ -24,7 +24,7 @@ import numpy as np
 
 from . import catalogue
 from .em import EmConfig
-from .kde import KdeFit, _check_gridsize, kde_grid
+from .kde import DEFAULT_GRIDSIZE, KdeFit, _check_gridsize, kde_grid
 from .models import TWO_PI, wrap_angle
 from .rng import derive_seed, make_rng
 from .selectors import LCV, ORACLE, PI, RT
@@ -107,7 +107,7 @@ def build_parser() -> _Parser:
     p_fit.add_argument("input", help="angle file, one value per line")
     p_fit.add_argument("--degrees", action="store_true", help="input angles are degrees")
     p_fit.add_argument("--selectors", default="rt,pi,lcv", help="comma list of rt,pi,lcv")
-    p_fit.add_argument("--gridsize", type=_gridsize, default=1024)
+    p_fit.add_argument("--gridsize", type=_gridsize, default=DEFAULT_GRIDSIZE)
     p_fit.add_argument("--rose-bins", type=int, default=18)
     p_fit.add_argument("--seed", type=int, default=0)
     p_fit.add_argument("--output-dir", default=".")
@@ -119,13 +119,14 @@ def build_parser() -> _Parser:
     p_sample.add_argument("--degrees", action="store_true", help="write degrees")
     p_sample.add_argument("--output", default=None, help="output file (default: stdout)")
 
+    study = ExperimentConfig()
     p_sim = sub.add_parser("simulate", help="run the Monte Carlo experiment")
-    p_sim.add_argument("--models", default=",".join(ExperimentConfig().models))
-    p_sim.add_argument("--sizes", default="100,250")
+    p_sim.add_argument("--models", default=",".join(study.models))
+    p_sim.add_argument("--sizes", default=",".join(map(str, study.sample_sizes)))
     p_sim.add_argument("--replicates", type=int, default=None)
-    p_sim.add_argument("--selectors", default="rt,pi,lcv")
-    p_sim.add_argument("--seed", type=int, default=ExperimentConfig().base_seed)
-    p_sim.add_argument("--gridsize", type=_gridsize, default=1024)
+    p_sim.add_argument("--selectors", default=",".join(study.selectors))
+    p_sim.add_argument("--seed", type=int, default=study.base_seed)
+    p_sim.add_argument("--gridsize", type=_gridsize, default=study.gridsize)
     p_sim.add_argument("--output-dir", default=".")
     p_sim.add_argument("--workers", type=int, default=1, help="parallel replicate workers")
     p_sim.add_argument(

@@ -21,7 +21,9 @@ sums them into phi_m of one sample or of many, from which ``kde_grid``
 gets the density grid by one inverse FFT of rho phi and
 ``oracle_mise_curve`` the oracle's ISE curve for a whole set of
 replicates, as two (replicates x K) by (K x nus) products of a quadratic
-form in rho (``_folded_spectrum`` folds its orders only when 2 K > G).
+form in rho. Both need 2 K <= G, so that no two orders share a bin of the
+G-point grid; above it ``kde_grid`` sums kernels directly and
+``oracle_mise_curve`` folds the aliased orders onto their bins.
 ``_cosine_sums`` keeps a sample's pieces for the sums behind
 ``selectors.lcv``'s estimator at its own sample points: one more real
 product of a low table per nu, in 2 (B + Q) n floats rather than a K x n
@@ -48,13 +50,6 @@ DEFAULT_GRIDSIZE = 1024
 
 # Cells one block of a blocked evaluation holds: 512 KiB of float64.
 _CHUNK_CELLS = 1 << 16
-
-# kde_grid sums kernels directly when K * _SPECTRAL_ORDERS > G. With the
-# moments from two trigonometric tables, the spectral grid's median time
-# over M16/M20 samples, n 50 to 20,000 and G 64 to 4096 was 0.71 of the
-# direct grid's at K / G = 1/2 and 0.89 at K / G = 1, where it lost at
-# n <= 250 (1.04-1.61 median).
-_SPECTRAL_ORDERS = 2
 
 # Spectral grid cells below this fraction of a kernel's peak, 1 / (2 pi
 # i0e(nu)), are summed directly: the inverse FFT's error is a few 1e-16 of
@@ -141,14 +136,13 @@ def kde_grid(fit: KdeFit, gridsize: int = DEFAULT_GRIDSIZE) -> DensityGrid:
     of a kernel's peak, so every cell below ``_GUARD`` times that peak is
     recomputed by the direct ``_kernel_mean``; no cell is negative, and
     tails keep the direct sums' relative accuracy.
-    When 2 K > G (nu above about 3,300 at G = 1024) the spectrum costs
-    about as much as the G x n kernel values and the whole grid is summed
-    directly.
+    When 2 K > G (nu above about 3,300 at G = 1024) the orders would alias,
+    and the whole grid is summed directly.
     """
     _check_gridsize(gridsize)
     thetas = grid_thetas(gridsize)
     orders = _order_count(fit.nu)
-    if _SPECTRAL_ORDERS * orders > gridsize:
+    if 2 * orders > gridsize:
         return DensityGrid(_kernel_mean(thetas, fit.sample, fit.nu))
     rho = _kernel_coefficients(np.array([fit.nu]), orders)[0]
     values = np.fft.irfft(rho * _sample_moments([fit.sample], orders)[0], gridsize) * (gridsize / TWO_PI)
@@ -274,9 +268,14 @@ def oracle_mise_curve(samples, truth: DensityGrid, nus) -> np.ndarray:
     ISE itself; expanded around 0 instead (w |phi|^2 and
     w Re(phi conj gamma)), terms of the size of the integral of f^2 cancel
     and cost up to 8e-13 relative on the study's cells. Order 0 adds
-    exactly w_0 |1 - gamma_0|^2, since rho_0 = phi_0 = 1. When
-    2 K > G the orders alias onto shared bins, and each replicate's
-    spectrum is folded (``_folded_spectrum``) and compared bin by bin.
+    exactly w_0 |1 - gamma_0|^2, since rho_0 = phi_0 = 1.
+
+    When 2 K > G the orders alias onto shared bins. A (nus, L, G) buffer,
+    L = ceil(2 K / G), read as rows of L G slots, holds one replicate at a
+    time: rho_m phi_m in slots m < K and its conjugate, order -m, in slot
+    L G - m, both on bin slot mod G, and zeros between. Its sum over L is
+    F_k, compared with gamma bin by bin over k = 0..G/2; since K > G/2,
+    those bins hold the whole truth.
     """
     nus = np.asarray(nus, dtype=float)
     if nus.ndim != 1 or nus.size == 0:
@@ -290,44 +289,25 @@ def oracle_mise_curve(samples, truth: DensityGrid, nus) -> np.ndarray:
     gamma = np.fft.rfft(truth.values) * (TWO_PI / g)
     weights = np.full(half + 1, 2.0)
     weights[[0, half]] = 1.0
-    power = weights * np.abs(gamma) ** 2
-    if _SPECTRAL_ORDERS * orders <= g:
+    if 2 * orders <= g:
+        power = weights * np.abs(gamma) ** 2
         gam, err = gamma[:orders], phi - gamma[:orders]
         variance = (err.real**2 + err.imag**2) * weights[:orders]
         cross = (err.real * gam.real + err.imag * gam.imag) * weights[:orders]
         bias = (1.0 - rho) ** 2 @ power[:orders] + power[orders:].sum()
         return (variance @ (rho * rho).T - 2.0 * (cross @ (rho * (1.0 - rho)).T) + bias) / TWO_PI
-    # Spectral bins the retained orders can reach; truth terms beyond them
-    # enter the ISE as a constant tail.
-    bins = min(orders, half + 1)
-    tail = power[bins:].sum()
-    gamma, weights = gamma[:bins], weights[:bins]
+    # Slots K..L G - K are never written, so one zeroed buffer serves every replicate.
+    folds = -(-2 * orders // g)
+    buf = np.zeros((nus.size, folds, g), dtype=complex)
+    flat = buf.reshape(nus.size, folds * g)
     out = np.empty((len(phi), nus.size))
     for i, row in enumerate(phi):
-        diff = _folded_spectrum(rho, row, g) - gamma
-        out[i] = ((diff.real**2 + diff.imag**2) @ weights + tail) / TWO_PI
+        np.multiply(rho, row, out=flat[:, :orders])
+        np.conjugate(flat[:, orders - 1 : 0 : -1], out=flat[:, 1 - orders :])
+        diff = buf[:, :, : half + 1].sum(axis=1)
+        diff -= gamma
+        out[i] = (diff.real**2 + diff.imag**2) @ weights / TWO_PI
     return out
-
-
-def _folded_spectrum(rho: np.ndarray, phi: np.ndarray, g: int) -> np.ndarray:
-    """Bins 0..min(K, G/2 + 1) - 1 of the G-point DFT of the estimator's grid, per nu.
-
-    F_k = sum over m = k (mod G) of rho_|m| phi_m, with phi_-m = conj phi_m;
-    ``rho`` has shape (nus, K) and ``phi`` holds the K moments.
-    """
-    orders = rho.shape[1]
-    bins = min(orders, g // 2 + 1)
-    # Order m >= 0 lands on bin m mod G; order -m on bin (G - m mod G) mod G.
-    mirror = (g - np.arange(bins)) % g
-    mirrored = mirror < min(orders, g)
-    folded = np.zeros((rho.shape[0], min(orders, g)), dtype=complex)
-    for lo in range(0, orders, g):  # aliasing: orders m and m + G share a bin
-        hi = min(lo + g, orders)
-        folded[:, : hi - lo] += rho[:, lo:hi] * phi[lo:hi]
-    spectrum = folded[:, :bins]
-    spectrum[:, mirrored] += folded[:, mirror[mirrored]].conj()
-    spectrum[:, 0] -= rho[:, 0] * phi[0]  # order 0 was counted twice
-    return spectrum
 
 
 def _sample_moments(samples, orders: int) -> np.ndarray:

@@ -51,6 +51,15 @@ DEFAULT_ABS_SLACK = 0.10
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """One Monte Carlo study: its grid of cells, replicate count, seed and settings.
+
+    ``em`` sets PI's EM fits, but only its ``max_iter``, ``rel_tol`` and
+    ``n_restarts`` take effect: every replicate replaces ``em.seed`` with
+    ``derive_seed(base_seed, model index, n, replicate, 97)``, so that its
+    fits do not depend on the other replicates. ``em.seed`` still enters
+    ``config_hash``.
+    """
+
     models: tuple[str, ...] = SMOKE_MODELS
     sample_sizes: tuple[int, ...] = (100, 250)
     replicates: int = DEFAULT_REPLICATES
@@ -366,17 +375,15 @@ def load_reference_table() -> dict[tuple[str, int, str], ReferenceCell]:
 def compare_to_reference(
     report: SimulationReport,
     reference: dict[tuple[str, int, str], ReferenceCell] | None = None,
-    k_sigma: float = DEFAULT_K_SIGMA,
-    abs_slack: float = DEFAULT_ABS_SLACK,
 ) -> list[CellComparison]:
     """Check every report cell against the published table.
 
     A cell passes when |observed - reference| (x100 scale) stays within
-    k_sigma Monte Carlo standard errors of the reference, widened by
-    ``abs_slack`` relative slack, and no replicate was lost: a cell with
-    selector errors, or with fewer replicates than the report's config
-    asks for, fails whatever its mean. Missing reference cells are
-    flagged, not fatal.
+    ``DEFAULT_K_SIGMA`` Monte Carlo standard errors of the reference plus
+    ``DEFAULT_ABS_SLACK`` times the reference mean (a relative slack), and
+    no replicate was lost: a cell with selector errors, or with fewer
+    replicates than the report's config asks for, fails whatever its mean.
+    Missing reference cells are flagged, not fatal.
     """
     if reference is None:
         reference = load_reference_table()
@@ -395,7 +402,7 @@ def compare_to_reference(
         if configured is not None and cell.replicates < configured:
             lost.append(f"{cell.replicates} of {configured} replicates")
         se = ref.sd_x100 / math.sqrt(cell.replicates) if ref.sd_x100 and cell.replicates else 0.0
-        window = k_sigma * se + abs_slack * ref.mise_x100
+        window = DEFAULT_K_SIGMA * se + DEFAULT_ABS_SLACK * ref.mise_x100
         diff = obs - ref.mise_x100
         z = diff / se if se > 0 else (0.0 if diff == 0 else math.inf * np.sign(diff))
         out.append(

@@ -10,6 +10,7 @@ import pytest
 
 from conftest import chi_square_gof_pvalue
 
+import circkde.cli
 import circkde.simulate
 from circkde.catalogue import get_model
 from circkde.cli import main, read_angle_file
@@ -17,7 +18,7 @@ from circkde.em import EmConfig
 from circkde.models import TWO_PI
 from circkde.rng import derive_seed
 from circkde.selectors import LCV, PI, RT
-from circkde.simulate import ReferenceCell, select
+from circkde.simulate import ExperimentConfig, ReferenceCell, select
 
 
 def run_cli(*args):
@@ -252,6 +253,19 @@ class TestSimulateCommand:
         captured = capsys.readouterr()
         assert "M1 n=100 RT: FAIL" in captured.out
         assert "outside the reference window" in captured.err
+
+    def test_defaults_are_the_library_config(self, monkeypatch):
+        # Every simulate default comes from ExperimentConfig, not a second copy.
+        class Stop(Exception):
+            pass
+
+        def capture(cfg, workers):
+            raise Stop(cfg)
+
+        monkeypatch.setattr(circkde.cli, "run_experiment", capture)
+        with pytest.raises(Stop) as stopped:
+            run_cli("simulate")
+        assert stopped.value.args[0] == ExperimentConfig()
 
     def test_bad_sizes(self, tmp_path, capsys):
         code = run_cli("simulate", "--sizes", "abc", "--output-dir", str(tmp_path))

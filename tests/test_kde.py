@@ -190,7 +190,7 @@ class TestSpectralGrid:
             for nu, row in zip(CONTRACT_NUS, ref):
                 orders = _order_count(nu)
                 for g in CONTRACT_SIZES:
-                    paths.add(kmod._SPECTRAL_ORDERS * orders <= g)
+                    paths.add(2 * orders <= g)
                     got = kde_grid(KdeFit(fit.sample, nu), g).values
                     want = row[:: 4096 // g]
                     np.testing.assert_allclose(got, want, rtol=1e-12, atol=0, err_msg=f"n={n} nu={nu} G={g}")
@@ -205,7 +205,7 @@ class TestSpectralGrid:
             [VonMises(mu=1.0, kappa=400.0).sample(2000, rng), [3.0, 3.6, 5.0]]
         )
         nu, g = 300.0, 1024
-        assert kmod._SPECTRAL_ORDERS * _order_count(nu) <= g
+        assert 2 * _order_count(nu) <= g
         fit = KdeFit(sample, nu)
         got = kde_grid(fit, g).values
         ref = kmod._kernel_mean(grid_thetas(g), fit.sample, nu)
@@ -436,7 +436,8 @@ def direct_ise(sample, nu, truth):
 
 
 class TestMomentIse:
-    @pytest.mark.parametrize("gridsize", [64, 512, 1024])
+    # At gridsize 8 and nu = 1e5 about 700 orders, of both signs, share every bin.
+    @pytest.mark.parametrize("gridsize", [8, 64, 512, 1024])
     @pytest.mark.parametrize("mid", ["M1", "M2", "M7", "M16", "M20"])
     def test_matches_grid_ise(self, mid, gridsize):
         model = get_model(mid)
@@ -505,7 +506,7 @@ class TestOracleBlocks:
         truth = density_grid_of(model, 1024)
         samples = [model.sample(n, make_rng(20260810, int(mid[1:]), n, r)) for r in range(20)]
         nus = NuSearchDomain.for_sample_size(n).probes()
-        assert kmod._SPECTRAL_ORDERS * _order_count(nus.max()) <= truth.gridsize  # no aliasing
+        assert 2 * _order_count(nus.max()) <= truth.gridsize  # no aliasing
         got = oracle_mise_curve(samples, truth, nus)
         np.testing.assert_allclose(got, parseval_curve(samples, truth, nus), rtol=1e-12, atol=0)
 
@@ -522,6 +523,18 @@ class TestOracleBlocks:
         monkeypatch.setattr(kmod, "_CHUNK_CELLS", 1000)
         assert kmod._table_layout(_order_count(5.0)) == (6, 5, 33)
         np.testing.assert_array_equal(oracle_mise_curve(samples, truth, nus), whole)
+
+    def test_aliased_rows_do_not_depend_on_the_batch(self):
+        # The fold writes every replicate into one buffer: each row must keep its
+        # bits whether its replicate comes alone or after others.
+        model = get_model("M7")
+        samples = [model.sample(100, make_rng(20260810, 7, 100, r)) for r in range(8)]
+        truth = density_grid_of(model, 64)
+        nus = np.geomspace(1.0, 2000.0, 9)
+        assert 2 * _order_count(nus.max()) > truth.gridsize
+        batch = oracle_mise_curve(samples, truth, nus)
+        for row, sample in zip(batch, samples):
+            np.testing.assert_array_equal(row, oracle_mise_curve([sample], truth, nus)[0])
 
     def test_moments_do_not_depend_on_the_batch(self):
         # Each sample is cut into the same products alone or among others
