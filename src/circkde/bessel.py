@@ -79,7 +79,7 @@ def inverse_mean_resultant_ratio(rbar):
     import on 1025 nodes. h is smooth on [0, 1): 2 + O(r^2) near 0 and
     about 1/2 near 1, so linear interpolation puts
     kappa_0 = r h(r) / (1 - r) within 1e-6 relative of the root, and
-    kappa_0 = 2 rbar for tiny rbar. One safeguarded Newton step
+    kappa_0 = 2 rbar for tiny rbar. One Newton step
     (A'(kappa) = 1 - A/kappa - A^2) leaves each within 2.4e-14, whatever
     else the batch holds. Results are capped at ``KAPPA_CAP``; inputs at or
     above A(KAPPA_CAP) (in particular rbar >= 1) return the cap, which
@@ -227,7 +227,7 @@ def _newton_start(r: np.ndarray) -> np.ndarray:
 
 
 def _newton_inverse(r: np.ndarray) -> np.ndarray:
-    """One safeguarded Newton step from ``_newton_start``, computed in place."""
+    """One Newton step from ``_newton_start``, computed in place, capped at ``KAPPA_CAP``."""
     k = _newton_start(r)
     a = i1e(k)
     a /= i0e(k)
@@ -238,8 +238,5 @@ def _newton_inverse(r: np.ndarray) -> np.ndarray:
     a *= a
     slope -= a
     f /= slope
-    # A is increasing and concave; keep the iterate inside (0, cap].
-    floor = k * 0.1
     k -= f
-    np.maximum(k, floor, out=k)
     return np.minimum(k, KAPPA_CAP, out=k)

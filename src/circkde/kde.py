@@ -22,8 +22,11 @@ gets the density grid by one inverse FFT of rho phi and
 ``oracle_mise_curve`` the oracle's ISE curve for a whole set of
 replicates, as two (replicates x K) by (K x nus) products of a quadratic
 form in rho. Both need 2 K <= G, so that no two orders share a bin of the
-G-point grid; above it ``kde_grid`` sums kernels directly and
-``oracle_mise_curve`` folds the aliased orders onto their bins.
+G-point grid. Above it ``kde_grid`` sums kernels directly, and
+``oracle_mise_curve`` takes each (replicate, nu) entry from ``kde_grid``
+and ``ise``, so that ``kde_grid`` is the one rule where orders alias.
+Samples are wrapped where they enter (``KdeFit``, ``oracle_mise_curve``,
+``selectors.lcv``); the table functions take wrapped angles.
 ``_cosine_sums`` keeps a sample's pieces for the sums behind
 ``selectors.lcv``'s estimator at its own sample points: one more real
 product of a low table per nu, in 2 (B + Q) n floats rather than a K x n
@@ -247,18 +250,16 @@ def oracle_mise_curve(samples, truth: DensityGrid, nus) -> np.ndarray:
     """ISE per (replicate, nu) for fixed samples; common random numbers across nu.
 
     Entry (i, j) equals ``ise(kde_grid(KdeFit(samples[i], nus[j]), G),
-    truth)`` up to rounding, with G = ``truth.gridsize``. The G-point DFT
-    of the estimator's grid is
-    F_k = sum over m = k (mod G) of rho_|m| phi_m (phi_-m = conj phi_m),
-    and by Parseval the grid ISE is (1/2 pi) sum_k w_k |F_k - gamma_k|^2
-    over k = 0..G/2, with w = (1, 2, ..., 2, 1) and gamma the truth's
-    scaled DFT. rho is computed once for all samples, and the moments of
-    all samples in shared table passes (``_sample_moments``).
-
-    When 2 K <= G (always in the study), bin k < K holds order k alone,
-    F_k = rho_k phi_k, as on ``kde_grid``'s spectral side, and the ISE is a
-    quadratic form in rho. Split around the truth, with e_k = phi_k -
-    gamma_k, each term w_k |rho_k phi_k - gamma_k|^2 is
+    truth)`` up to rounding, with G = ``truth.gridsize`` and K =
+    ``bessel._order_count(max nu)``. When 2 K <= G (always in the study),
+    the G-point DFT of the estimator's grid holds order k < K alone in bin
+    k, F_k = rho_k phi_k, as on ``kde_grid``'s spectral side, and by
+    Parseval the grid ISE is (1/2 pi) sum_k w_k |F_k - gamma_k|^2 over
+    k = 0..G/2, with w = (1, 2, ..., 2, 1) and gamma the truth's scaled
+    DFT: a quadratic form in rho. rho is computed once for all samples, and
+    the moments of all samples in shared table passes (``_sample_moments``).
+    Split around the truth, with e_k = phi_k - gamma_k, each term
+    w_k |rho_k phi_k - gamma_k|^2 is
     w_k (rho_k^2 |e_k|^2 - 2 rho_k (1 - rho_k) Re(e_k conj gamma_k)
     + (1 - rho_k)^2 |gamma_k|^2). With V = w |e|^2 and C = w Re(e conj
     gamma), one row per replicate, the (replicate x nu) curve is
@@ -270,55 +271,41 @@ def oracle_mise_curve(samples, truth: DensityGrid, nus) -> np.ndarray:
     and cost up to 8e-13 relative on the study's cells. Order 0 adds
     exactly w_0 |1 - gamma_0|^2, since rho_0 = phi_0 = 1.
 
-    When 2 K > G the orders alias onto shared bins. A (nus, L, G) buffer,
-    L = ceil(2 K / G), read as rows of L G slots, holds one replicate at a
-    time: rho_m phi_m in slots m < K and its conjugate, order -m, in slot
-    L G - m, both on bin slot mod G, and zeros between. Its sum over L is
-    F_k, compared with gamma bin by bin over k = 0..G/2; since K > G/2,
-    those bins hold the whole truth.
+    When 2 K > G the orders alias onto shared bins, and each entry is the
+    study's own ``ise(kde_grid(...), truth)``, one grid per (replicate,
+    nu): about 4 s on 2 cores for 200 replicates of 500 and 50 nu at G = 128.
     """
     nus = np.asarray(nus, dtype=float)
     if nus.ndim != 1 or nus.size == 0:
         raise ValueError("nus must be a non-empty one-dimensional array")
     _check_concentration(nus, "nu")
+    arrays = [wrap_angle(_as_sample(s)) for s in samples]
     g = truth.gridsize
-    half = g // 2
-    rho = _kernel_coefficients(nus)
-    orders = rho.shape[1]
-    phi = _sample_moments(samples, orders)
+    orders = _order_count(float(nus.max()))
+    if 2 * orders > g:
+        curve = [ise(kde_grid(KdeFit(arr, nu), g), truth) for arr in arrays for nu in nus]
+        return np.array(curve).reshape(len(arrays), nus.size)
+    rho = _kernel_coefficients(nus, orders)
+    phi = _sample_moments(arrays, orders)
     gamma = np.fft.rfft(truth.values) * (TWO_PI / g)
-    weights = np.full(half + 1, 2.0)
-    weights[[0, half]] = 1.0
-    if 2 * orders <= g:
-        power = weights * np.abs(gamma) ** 2
-        gam, err = gamma[:orders], phi - gamma[:orders]
-        variance = (err.real**2 + err.imag**2) * weights[:orders]
-        cross = (err.real * gam.real + err.imag * gam.imag) * weights[:orders]
-        bias = (1.0 - rho) ** 2 @ power[:orders] + power[orders:].sum()
-        return (variance @ (rho * rho).T - 2.0 * (cross @ (rho * (1.0 - rho)).T) + bias) / TWO_PI
-    # Slots K..L G - K are never written, so one zeroed buffer serves every replicate.
-    folds = -(-2 * orders // g)
-    buf = np.zeros((nus.size, folds, g), dtype=complex)
-    flat = buf.reshape(nus.size, folds * g)
-    out = np.empty((len(phi), nus.size))
-    for i, row in enumerate(phi):
-        np.multiply(rho, row, out=flat[:, :orders])
-        np.conjugate(flat[:, orders - 1 : 0 : -1], out=flat[:, 1 - orders :])
-        diff = buf[:, :, : half + 1].sum(axis=1)
-        diff -= gamma
-        out[i] = (diff.real**2 + diff.imag**2) @ weights / TWO_PI
-    return out
+    weights = np.full(g // 2 + 1, 2.0)
+    weights[[0, g // 2]] = 1.0
+    power = weights * np.abs(gamma) ** 2
+    gam, err = gamma[:orders], phi - gamma[:orders]
+    variance = (err.real**2 + err.imag**2) * weights[:orders]
+    cross = (err.real * gam.real + err.imag * gam.imag) * weights[:orders]
+    bias = (1.0 - rho) ** 2 @ power[:orders] + power[orders:].sum()
+    return (variance @ (rho * rho).T - 2.0 * (cross @ (rho * (1.0 - rho)).T) + bias) / TWO_PI
 
 
-def _sample_moments(samples, orders: int) -> np.ndarray:
-    """phi_m = mean(exp(-i m Theta)), m < orders, per sample: shape (len(samples), orders).
+def _sample_moments(arrays, orders: int) -> np.ndarray:
+    """phi_m = mean(exp(-i m Theta)), m < orders, per wrapped sample: shape (len(arrays), orders).
 
     One real product high (2Q x n) times low^T (n x 2B) per piece
     (``_table_pieces``), summed per sample: a product over several samples'
     angles would pass the 2^18 multiply-adds at which OpenBLAS threads it.
     A sample's pieces, so its moments, do not depend on the samples beside it.
     """
-    arrays = [_as_sample(s) for s in samples]
     base, groups, _ = _table_layout(orders)
     products = np.zeros((len(arrays), 2 * groups, 2 * base))
     for i, _, high, low in _table_pieces(arrays, orders):
@@ -334,16 +321,14 @@ def _sample_moments(samples, orders: int) -> np.ndarray:
 def _table_pieces(arrays, orders: int):
     """Yield (i, span, high, low): a piece of sample i, its slice of the angles and its tables.
 
-    The samples' wrapped angles are concatenated (``span`` indexes them)
-    and cut into pieces of at most ``_table_layout``'s step of one sample's
-    observations. Consecutive pieces share a pass of ``_trig_table`` while
-    they add up to at most a step, so short samples go through the tables
-    several at a time, a long one piece by piece.
+    The samples' angles, already wrapped, are concatenated (``span``
+    indexes them) and cut into pieces of at most ``_table_layout``'s step
+    of one sample's observations. Consecutive pieces share a pass of
+    ``_trig_table`` while they add up to at most a step, so short samples
+    go through the tables several at a time, a long one piece by piece.
     """
     bounds = [0, *itertools.accumulate(arr.size for arr in arrays)]
-    theta = np.empty(bounds[-1])
-    for arr, start in zip(arrays, bounds):
-        theta[start : start + arr.size] = wrap_angle(arr)
+    theta = np.concatenate(arrays) if arrays else np.empty(0)
     base, groups, step = _table_layout(orders)
     pieces = [
         (i, lo, min(lo + step, end))
@@ -363,7 +348,7 @@ def _table_pieces(arrays, orders: int):
         first = last
 
 
-def _cosine_sums(sample, orders: int):
+def _cosine_sums(arr: np.ndarray, orders: int):
     """The function coef -> S, S_i = sum_m coef_m sum_j cos(m (Theta_i - Theta_j)), m < orders.
 
     The inner sum is a_m cos(m Theta_i) + b_m sin(m Theta_i), with a_m, b_m
@@ -372,9 +357,9 @@ def _cosine_sums(sample, orders: int):
     S_i = sum_g cos(g B Theta_i) U_gi + sin(g B Theta_i) V_gi with
     [U; V] = [[C, D], [D, -C]] [cos; sin](j Theta): per coef, one real
     product with the low table (4 K n multiply-adds) of each of the
-    sample's pieces (``_table_pieces``), kept in 2 (B + Q) n floats.
+    sample's pieces (``_table_pieces``), kept in 2 (B + Q) n floats. The
+    sample ``arr`` is already wrapped.
     """
-    arr = _as_sample(sample)
     base, groups, _ = _table_layout(orders)
     pieces = list(_table_pieces([arr], orders))
     a, b = _angle_addition(sum(high @ low.T for _, _, high, low in pieces))

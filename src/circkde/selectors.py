@@ -251,12 +251,14 @@ def lcv(sample, domain: NuSearchDomain | None = None) -> BandwidthResult:
     pieces of the two trigonometric tables and gives S for each
     nu in O(K n) time and 2 (B + Q) n floats, B + Q about 2 sqrt(K). Rows
     whose sum falls below ``_DIRECT_BELOW`` are recomputed by the direct
-    sum. ``diagnostics`` holds ``orders`` (K), ``direct_rows`` (recomputed
-    rows, summed over all evaluations) and ``ties``: the observations whose
-    wrapped value another observation shares. When every value is tied the
-    objective grows without bound in nu; ``ties`` does not change the pick.
+    sum. The sample is wrapped once, on entry, for the tables, those rows
+    and ``ties``. ``diagnostics`` holds ``orders`` (K), ``direct_rows``
+    (recomputed rows, summed over all evaluations) and ``ties``: the
+    observations whose wrapped value another observation shares. When
+    every value is tied the objective grows without bound in nu; ``ties``
+    does not change the pick.
     """
-    arr = _as_sample(sample)
+    arr = wrap_angle(_as_sample(sample))
     n = arr.size
     if n < 2:
         raise ValueError("need at least 2 observations for cross-validation")
@@ -279,7 +281,7 @@ def lcv(sample, domain: NuSearchDomain | None = None) -> BandwidthResult:
         return -_lcv_from_sums(sums, n, nu)
 
     nu, neg, trace = minimize_on_domain(objective, domain)
-    counts = np.unique(wrap_angle(arr), return_counts=True)[1]
+    counts = np.unique(arr, return_counts=True)[1]
     ties = counts[counts > 1].sum()
     return BandwidthResult(
         nu=nu,

@@ -257,6 +257,26 @@ class TestInverse:
         r, k = sweep
         np.testing.assert_allclose(_newton_start(r), k, rtol=1e-6, atol=0)
 
+    def test_newton_step_stays_near_its_start(self):
+        # The step moves no start by more than 1e-6 of itself, from the smallest
+        # subnormal to the last double below A(KAPPA_CAP), so kappa stays positive
+        # with no floor under the iterate.
+        a_cap = mean_resultant_ratio(KAPPA_CAP)
+        nodes = _R_NODES
+        r = np.unique(np.concatenate([
+            [5e-324, np.nextafter(a_cap, 0.0)],
+            np.geomspace(5e-324, 1e-3, 1000, endpoint=False),
+            np.linspace(1e-3, a_cap, 20_001)[:-1],
+            a_cap - np.geomspace(1e-6, 1e-16, 2000),
+            nodes[1:-1],
+            0.5 * (nodes[:-1] + nodes[1:]),
+        ]))
+        assert r[0] == 5e-324 and r[-1] == np.nextafter(a_cap, 0.0)
+        start = _newton_start(r)
+        k = inverse_mean_resultant_ratio(r)
+        assert np.all(np.abs(k - start) <= 1e-6 * start)
+        assert np.all(k > 0.0) and np.all(k <= KAPPA_CAP)
+
     # One Newton step from a start within 1e-6 relative squares that error;
     # the docstring's 2.4e-14 is checked at small rbar below, 1e-10 here.
     @pytest.mark.parametrize(

@@ -456,12 +456,16 @@ class TestMomentIse:
         assert direct_ise(m2_sample, 0.0, truth) == 0.0
         assert abs(got) <= 1e-15
 
-    def test_orders_beyond_half_grid_are_folded(self, m2_sample):
-        # at gridsize 64 and nu = 500 the retained orders alias onto the 33 bins
-        assert _kernel_coefficients(np.array([500.0])).shape[1] > 64
-        truth = density_grid_of(get_model("M2"), 64)
-        got = oracle_mise_curve([m2_sample], truth, np.array([500.0]))[0, 0]
-        assert got == pytest.approx(direct_ise(m2_sample, 500.0, truth), rel=1e-12)
+    def test_aliased_rows_are_the_grid_ise(self, m2_sample):
+        # K = 179 at nu = 500 aliases at every gridsize here, so every entry, the
+        # small nu too, is the study's own grid ISE, bit for bit.
+        nus = np.array([0.5, 30.0, 500.0])
+        samples = [m2_sample, m2_sample[:37]]
+        for g in (8, 64, 128):
+            truth = density_grid_of(get_model("M2"), g)
+            assert 2 * _order_count(nus.max()) > g
+            want = [[direct_ise(s, nu, truth) for nu in nus] for s in samples]
+            np.testing.assert_array_equal(oracle_mise_curve(samples, truth, nus), want)
 
     def test_truncation_floor(self):
         rho = _kernel_coefficients(np.array([0.5, 30.0]))
@@ -525,8 +529,7 @@ class TestOracleBlocks:
         np.testing.assert_array_equal(oracle_mise_curve(samples, truth, nus), whole)
 
     def test_aliased_rows_do_not_depend_on_the_batch(self):
-        # The fold writes every replicate into one buffer: each row must keep its
-        # bits whether its replicate comes alone or after others.
+        # Each row must keep its bits whether its replicate comes alone or after others.
         model = get_model("M7")
         samples = [model.sample(100, make_rng(20260810, 7, 100, r)) for r in range(8)]
         truth = density_grid_of(model, 64)

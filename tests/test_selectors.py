@@ -280,6 +280,13 @@ class TestLcv:
         b = lcv(wrap_angle(m2_100 + 0.9))
         assert b.nu == pytest.approx(a.nu, rel=1e-6)
 
+    def test_wraps_its_sample_once_on_entry(self, m2_100):
+        # Tables, guard rows and ties all see the wrapped angles, so whole turns
+        # added to the sample change no bit of the result.
+        shifted = m2_100 - 3 * TWO_PI
+        a, b = lcv(shifted), lcv(wrap_angle(shifted))
+        assert (a.nu, a.objective, a.diagnostics) == (b.nu, b.objective, b.diagnostics)
+
     def test_needs_two_points(self):
         with pytest.raises(ValueError):
             lcv(np.array([1.0]))
