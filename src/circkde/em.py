@@ -10,9 +10,12 @@ component's sums of r cos theta, r sin theta and r, r the
 responsibility. The M-step needs only those sums, so no (restarts, M, n)
 array is formed and memory does not grow with n. The restarts of one fit
 advance in lockstep, so one iteration is a fixed, small number of numpy
-calls on (restarts, M) arrays and one block. Initialization is a seeded
-farthest-point sweep over the data, all restarts at once, so every fit
-is reproducible from an integer seed.
+calls on (restarts, M) arrays and one block. ``select_reference_mixtures``
+runs that lockstep over several samples of one size at once, with
+samples x restarts rows, each row sweeping its own sample; every row
+acts alone, so a sample's fit is bit for bit the same alone or in such
+a chunk. Initialization is a seeded farthest-point sweep over the data,
+all restarts at once, so every fit is reproducible from an integer seed.
 """
 
 from __future__ import annotations
@@ -116,8 +119,7 @@ def em_fit(sample, M: int, cfg: EmConfig | None = None) -> MixtureFit:
         ll = log_likelihood(arr, mix)
         return _finalize(mix, ll, converged=True, n_iter=0, trace=(ll,), n=n)
 
-    mus0 = _initial_centers(arr, M, [make_rng(cfg.seed, M, r) for r in range(cfg.n_restarts)])
-    return _run_em_restarts(_unit_vectors(arr), mus0, cfg)
+    return _em_fits(arr[None, :], M, cfg, (cfg.seed,))[0]
 
 
 @dataclass(frozen=True)
@@ -154,16 +156,41 @@ def select_reference_mixture(
     candidates = sorted(set(operator.index(m) for m in candidate_Ms))
     if not candidates:
         raise ValueError("candidate_Ms must be non-empty")
+    return _choose(candidates, {m: em_fit(arr, m, cfg) for m in candidates if arr.size >= 3 * m})
 
+
+def select_reference_mixtures(samples, seeds, cfg: EmConfig | None = None) -> list[MixtureSelection]:
+    """:func:`select_reference_mixture` of each of several samples of one size, over the default candidates.
+
+    Sample i is fitted with EM seed ``seeds[i]`` in place of ``cfg.seed``.
+    Each candidate M is fitted for every sample in one lockstep
+    (:func:`_run_em_restarts`), and every selection is bit for bit the one
+    ``select_reference_mixture`` gives the sample alone.
+    """
+    arrs = np.stack([_as_sample(s) for s in samples])
+    cfg = cfg or EmConfig()
+    n = arrs.shape[1]
+    fits = {m: _em_fits(arrs, m, cfg, seeds) for m in DEFAULT_CANDIDATE_MS if n >= 3 * m}
+    return [_choose(DEFAULT_CANDIDATE_MS, {m: f[i] for m, f in fits.items()}) for i in range(len(arrs))]
+
+
+# -- internals -------------------------------------------------------------
+
+
+def _choose(candidates, fits: dict[int, MixtureFit]) -> MixtureSelection:
+    """The minimum-AIC valid fit among ``fits``, and its curvature.
+
+    A candidate M without a fit was too large for the sample.
+    """
     aic_table: dict[int, float] = {}
     rejected: dict[int, str] = {}
     convergence: dict[int, tuple[int, bool]] = {}
     eligible: list[MixtureFit] = []
     for m in candidates:
-        if arr.size < 3 * m:
+        fit = fits.get(m)
+        if fit is None:
             rejected[m] = f"sample too small for M={m}"
             continue
-        fit = em_fit(arr, m, cfg)
         aic_table[m] = fit.aic
         convergence[m] = (fit.n_iter, fit.converged)
         if not fit.valid:
@@ -177,7 +204,16 @@ def select_reference_mixture(
     return MixtureSelection(fit, curvature_integral(fit.mixture), aic_table, rejected, convergence)
 
 
-# -- internals -------------------------------------------------------------
+def _em_fits(arrs: np.ndarray, M: int, cfg: EmConfig, seeds) -> list[MixtureFit]:
+    """:func:`em_fit` of each row of the (samples, n) ``arrs`` for M >= 2, row i with EM seed ``seeds[i]``.
+
+    All samples' restarts run in one lockstep; a single sample's unit
+    vectors are passed on as one (3, n) array.
+    """
+    mus0 = [_initial_centers(arr, M, [make_rng(seed, M, r) for r in range(cfg.n_restarts)])
+            for arr, seed in zip(arrs, seeds, strict=True)]
+    x = _unit_vectors(arrs[0]) if len(arrs) == 1 else np.stack([_unit_vectors(arr) for arr in arrs])
+    return _run_em_restarts(x, np.concatenate(mus0), cfg)
 
 
 def _unit_vectors(sample) -> np.ndarray:
@@ -214,34 +250,45 @@ def _circ_dist(a: np.ndarray, b) -> np.ndarray:
     return np.minimum(diff, TWO_PI - diff, out=diff)
 
 
-def _run_em_restarts(x: np.ndarray, mus0: np.ndarray, cfg: EmConfig) -> MixtureFit:
-    """All running restarts advanced in lockstep; each stops at its own convergence.
+def _run_em_restarts(x: np.ndarray, mus0: np.ndarray, cfg: EmConfig) -> list[MixtureFit]:
+    """Every restart of one or several samples of one size, advanced in lockstep.
 
-    Working parameter tensors have shape (running restarts, M); each
-    iteration is one :func:`_sweep` and one :func:`_m_step`. When a
-    restart's relative log-likelihood change drops below tolerance, its
-    parameters, iteration count and convergence flag are written to the
-    output arrays once and its row leaves the working arrays, so no step is
-    spent on it afterwards. Each step acts on every restart's row alone,
-    and the sweep's block length depends on n, M and ``cfg.n_restarts``
-    only, which reproduces the per-restart sequential behaviour exactly.
+    ``x`` is one sample's (3, n) unit vectors (:func:`_unit_vectors`) or
+    several samples' (samples, 3, n); ``mus0`` holds each sample's rows of
+    initial centres in turn, the same number for each. Working parameter
+    tensors have shape (running rows, M); each iteration is one
+    :func:`_sweep` and one :func:`_m_step`. When a row's relative
+    log-likelihood change drops below tolerance, its parameters, iteration
+    count and convergence flag are written to the output arrays once and
+    the row leaves the working arrays, so no step is spent on it
+    afterwards; with several samples, the running rows' unit vectors are
+    gathered again then. Each step acts on every row alone, and the sweep's
+    block length depends on n, M and ``cfg.n_restarts`` only, so each
+    restart, and each sample's best-of-restarts fit, is bit for bit what it
+    is run alone. Returns one fit per sample.
     """
-    n = x.shape[1]
+    n = x.shape[-1]
     nr, m = mus0.shape
+    per = nr if x.ndim == 2 else nr // x.shape[0]  # rows per sample
+
+    def unit_vectors(rows):
+        return x if x.ndim == 2 else x[rows // per]
+
     block = max(1, _CHUNK_CELLS // (cfg.n_restarts * m))
     buf = _sweep_buffer(nr, m, min(block, n))  # reused by every sweep of this fit
     alpha = np.full((nr, m), 1.0 / m)
     mus = mus0.copy()
     kappas = np.ones((nr, m))
-    final = np.empty((3, nr, m))  # alpha, mus, kappas as each restart stopped
+    final = np.empty((3, nr, m))  # alpha, mus, kappas as each row stopped
     n_iters = np.full(nr, cfg.max_iter)
     converged = np.zeros(nr, dtype=bool)
     run = np.arange(nr)  # the restart behind each working row
+    xr = unit_vectors(run)
     # Row it - 1 holds iteration it's log-likelihoods; restart r runs
     # iterations 1..n_iters[r], so its trace is a prefix of its column.
     ll_hist = np.empty((cfg.max_iter, nr))
     for it in range(1, cfg.max_iter + 1):
-        ll, sums = _sweep(x, alpha, mus, kappas, block, buf)
+        ll, sums = _sweep(xr, alpha, mus, kappas, block, buf)
         alpha, mus, kappas = _m_step(sums, n)
         ll_hist[it - 1, run] = ll
         if it > 1:
@@ -256,6 +303,7 @@ def _run_em_restarts(x: np.ndarray, mus0: np.ndarray, cfg: EmConfig) -> MixtureF
                 run, alpha, mus, kappas, ll = run[keep], alpha[keep], mus[keep], kappas[keep], ll[keep]
                 if not run.size:
                     break
+                xr = unit_vectors(run)
         # The next iteration's stop threshold, rel_tol * max(|ll_prev|, 1).
         ll_prev = ll
         tol = np.abs(ll)
@@ -263,21 +311,25 @@ def _run_em_restarts(x: np.ndarray, mus0: np.ndarray, cfg: EmConfig) -> MixtureF
         tol *= cfg.rel_tol
     final[:, run] = alpha, mus, kappas  # restarts that reached max_iter
     alpha, mus, kappas = final
-    ll_final, _ = _sweep(x, alpha, mus, kappas, block, buf)
-    best = int(np.argmax(ll_final))
-    trace = tuple(ll_hist[: n_iters[best], best].tolist()) + (float(ll_final[best]),)
-    # Restarts can reach one optimum with permuted labels; sorting by mean
-    # direction makes the reported order independent of which one won.
-    order = np.argsort(wrap_angle(mus[best]), kind="stable")
-    mix = VonMisesMixture(alpha[best, order], mus[best, order], kappas[best, order])
-    return _finalize(
-        mix,
-        float(ll_final[best]),
-        converged=bool(converged[best]),
-        n_iter=int(n_iters[best]),
-        trace=trace,
-        n=n,
-    )
+    del xr  # the final sweep gathers every row again
+    ll_final, _ = _sweep(unit_vectors(np.arange(nr)), alpha, mus, kappas, block, buf)
+    fits = []
+    for lo in range(0, nr, per):
+        best = lo + int(np.argmax(ll_final[lo : lo + per]))
+        trace = tuple(ll_hist[: n_iters[best], best].tolist()) + (float(ll_final[best]),)
+        # Restarts can reach one optimum with permuted labels; sorting by mean
+        # direction makes the reported order independent of which one won.
+        order = np.argsort(wrap_angle(mus[best]), kind="stable")
+        mix = VonMisesMixture(alpha[best, order], mus[best, order], kappas[best, order])
+        fits.append(_finalize(
+            mix,
+            float(ll_final[best]),
+            converged=bool(converged[best]),
+            n_iter=int(n_iters[best]),
+            trace=trace,
+            n=n,
+        ))
+    return fits
 
 
 def _sweep_buffer(restarts: int, m: int, block: int) -> np.ndarray:
@@ -306,7 +358,7 @@ def _sweep(x, alpha, mus, kappas, block, buf=None):
     """
     nr, m = kappas.shape
     if buf is None:
-        buf = _sweep_buffer(nr, m, min(block, x.shape[1]))
+        buf = _sweep_buffer(nr, m, min(block, x.shape[-1]))
     w = np.empty((3, nr, m))
     np.multiply(kappas, np.cos(mus), out=w[0])
     np.multiply(kappas, np.sin(mus), out=w[1])
@@ -317,9 +369,9 @@ def _sweep(x, alpha, mus, kappas, block, buf=None):
     w = w.transpose(1, 2, 0)
     ll = np.zeros(nr)
     sums = np.zeros((nr, 3, m))
-    for lo in range(0, x.shape[1], block):
-        xb = x[:, lo : lo + block]
-        cells = nr * m * xb.shape[1]
+    for lo in range(0, x.shape[-1], block):
+        xb = x[..., lo : lo + block]
+        cells = nr * m * xb.shape[-1]
         d = np.matmul(w, xb, out=buf[:cells].reshape(nr, m, -1))
         np.exp(d, out=d)
         s = np.add.reduce(d, axis=1)

@@ -6,7 +6,9 @@ Three data-driven selectors, which ``simulate.select`` dispatches by name:
 * ``plug_in``       - AIC-sized von Mises mixture reference, its curvature
                       integral plugged into the asymptotic MISE, minimized
                       numerically. Falls back to the rule of thumb when no
-                      valid reference mixture exists.
+                      valid reference mixture exists. ``plug_in_chunk`` gives
+                      the same result for each of several equal-size
+                      samples, their EM run in one lockstep.
 * ``lcv``           - maximizes the leave-one-out log-likelihood, with the
                       leave-one-out sums taken from its pieces of ``kde``'s
                       two trigonometric tables (``kde._cosine_sums``): O((B + Q) n)
@@ -25,7 +27,13 @@ import numpy as np
 from scipy.special import i0e, ive
 
 from .bessel import KAPPA_CAP, _kernel_coefficients, _order_count
-from .em import EmConfig, fit_single_von_mises, select_reference_mixture
+from .em import (
+    EmConfig,
+    MixtureSelection,
+    fit_single_von_mises,
+    select_reference_mixture,
+    select_reference_mixtures,
+)
 # Unused here, but perfbench/tracing.py wraps selectors.kde_grid and selectors.ise.
 from .kde import ise, kde_grid  # noqa: F401
 from .kde import _cosine_sums, _kernel_sums
@@ -196,11 +204,27 @@ def plug_in(
     fitted candidate M to its EM ``(n_iter, converged)``.
     """
     arr = _as_sample(sample)
-    n = arr.size
-    cfg = cfg or EmConfig()
-    domain = domain or NuSearchDomain.for_sample_size(n)
+    return _plug_in_result(arr, select_reference_mixture(arr, cfg=cfg or EmConfig()), domain)
 
-    selection = select_reference_mixture(arr, cfg=cfg)
+
+def plug_in_chunk(samples, seeds, cfg: EmConfig) -> list[BandwidthResult]:
+    """:func:`plug_in` of each of several samples of one size, sample i with EM seed ``seeds[i]``.
+
+    The reference mixtures come from ``em.select_reference_mixtures``,
+    which fits each candidate M for the whole chunk in one lockstep; every
+    step after EM is ``plug_in``'s, so each result equals ``plug_in(sample,
+    replace(cfg, seed=seeds[i]))`` bit for bit.
+    """
+    arrs = [_as_sample(s) for s in samples]
+    selections = select_reference_mixtures(arrs, seeds, cfg=cfg)
+    return [_plug_in_result(arr, selection) for arr, selection in zip(arrs, selections)]
+
+
+def _plug_in_result(
+    arr: np.ndarray, selection: MixtureSelection, domain: NuSearchDomain | None = None
+) -> BandwidthResult:
+    """PI's bandwidth from the sample's reference-mixture selection: RT fallback or AMISE minimum."""
+    n = arr.size
     if selection.best is None:
         rt = rule_of_thumb(arr)
         return BandwidthResult(
@@ -217,6 +241,7 @@ def plug_in(
         )
 
     curvature = selection.best_curvature
+    domain = domain or NuSearchDomain.for_sample_size(n)
     nu, obj, trace = minimize_on_domain(lambda v: amise(v, n, curvature), domain)
     return BandwidthResult(
         nu=nu,

@@ -2,10 +2,12 @@
 
 One cell of the study is a (model, sample size, selector) triple; its
 replicates share samples (common random numbers) so selector comparisons
-are paired. ``select`` turns a selector name into a bandwidth for the study
-and for ``circkde fit``; ORACLE minimizes the replicate-averaged ISE over
-``default_oracle_grid(n)``. Reference values transcribed from the published
-study ship as a JSON data file and drive the regression gate.
+are paired. ``select`` turns a selector name into a bandwidth for
+``circkde fit`` and the study's RT and LCV; the study's PI fits a chunk
+of samples at once (``run_experiment``). ORACLE minimizes the
+replicate-averaged ISE over ``default_oracle_grid(n)``. Reference values
+transcribed from the published study ship as a JSON data file and drive
+the regression gate.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import hashlib
 import json
 import math
 import time
+import warnings
 from dataclasses import asdict, dataclass, field, replace
 from importlib import resources
 
@@ -23,6 +26,7 @@ from . import catalogue
 from .em import EmConfig
 from .kde import DEFAULT_GRIDSIZE, KdeFit, density_grid_of, ise, kde_grid, oracle_mise_curve
 from .kde import _check_gridsize
+from .models import ModelSpec
 from .rng import derive_seed, make_rng
 from .selectors import (
     LCV,
@@ -34,6 +38,7 @@ from .selectors import (
     NuSearchDomain,
     lcv,
     plug_in,
+    plug_in_chunk,
     rule_of_thumb,
 )
 
@@ -47,6 +52,12 @@ DEFAULT_REPLICATES = 200
 # not reproducible exactly.
 DEFAULT_K_SIGMA = 3.0
 DEFAULT_ABS_SLACK = 0.10
+
+# A study chunk holds at most this many samples of one size, and at most
+# _CHUNK_ROW_CELLS EM rows x n (see _chunk_size). Neither depends on the
+# worker count, so neither do the results.
+_CHUNK_SAMPLES = 16
+_CHUNK_ROW_CELLS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -175,45 +186,50 @@ def default_oracle_grid(n: int) -> np.ndarray:
 def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> SimulationReport:
     """Run the full protocol for one configuration.
 
-    Deterministic for a fixed config regardless of ``workers``: replicate
-    streams are derived from (base_seed, model, n, replicate) and results
-    are aggregated by replicate index.
+    The data-driven selectors run on chunks: each sample size's (model,
+    replicate) samples, in config order, cut into runs of at most
+    :func:`_chunk_size` samples. A chunk fits PI's reference mixtures in
+    one EM lockstep per candidate M (``selectors.plug_in_chunk``); RT and
+    LCV, and every KDE grid and ISE, run per sample. With ``workers`` > 1
+    a process pool maps the chunks. Deterministic for a fixed config
+    regardless of ``workers``: replicate streams are derived from
+    (base_seed, model, n, replicate), the chunks do not depend on
+    ``workers``, a sample's results do not depend on its chunk, and
+    results are aggregated by replicate index.
     """
     t0 = time.perf_counter()
-    cells: list[CellResult] = []
-    pool = None
+    models = {m: catalogue.get_model(m) for m in cfg.models}
+    truths = {m: density_grid_of(models[m], cfg.gridsize) for m in cfg.models}
+    data_driven = tuple(s for s in cfg.selectors if s != ORACLE)
+    tasks = []
+    if data_driven:
+        for n in cfg.sample_sizes:
+            keys = [(m, rep) for m in cfg.models for rep in range(cfg.replicates)]
+            size = _chunk_size(n, cfg.em.n_restarts)
+            for lo in range(0, len(keys), size):
+                chunk = keys[lo : lo + size]
+                tasks.append((n, chunk, cfg.base_seed, {m: truths[m] for m, _ in chunk}, data_driven, cfg.em))
     if workers > 1:
         import concurrent.futures
 
-        pool = concurrent.futures.ProcessPoolExecutor(max_workers=workers)
-    try:
-        for model_id in cfg.models:
-            model = catalogue.get_model(model_id)
-            midx = catalogue.model_index(model_id)
-            truth = density_grid_of(model, cfg.gridsize)
-            for n in cfg.sample_sizes:
-                samples = [
-                    model.sample(n, make_rng(cfg.base_seed, midx, n, rep))
-                    for rep in range(cfg.replicates)
-                ]
-                data_driven = tuple(s for s in cfg.selectors if s != ORACLE)
-                if data_driven:
-                    tasks = [
-                        (samples[rep], data_driven, truth,
-                         derive_seed(cfg.base_seed, midx, n, rep, 97), cfg.em)
-                        for rep in range(cfg.replicates)
-                    ]
-                    if pool is not None:
-                        outcomes = list(pool.map(_replicate_outcome, tasks, chunksize=4))
-                    else:
-                        outcomes = [_replicate_outcome(t) for t in tasks]
-                    for selector in data_driven:
-                        cells.append(_aggregate_cell(model_id, n, selector, outcomes))
-                if ORACLE in cfg.selectors:
-                    cells.append(_oracle_cell(model_id, n, samples, truth))
-    finally:
-        if pool is not None:
-            pool.shutdown()
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(_chunk_outcomes, tasks))
+    else:
+        results = [_chunk_outcomes(t) for t in tasks]
+    outcomes = {
+        (model_id, n, rep): out
+        for (n, chunk, *_), outs in zip(tasks, results)
+        for (model_id, rep), out in zip(chunk, outs)
+    }
+    cells: list[CellResult] = []
+    for model_id in cfg.models:
+        for n in cfg.sample_sizes:
+            reps = [outcomes[model_id, n, rep] for rep in range(cfg.replicates)] if data_driven else []
+            for selector in data_driven:
+                cells.append(_aggregate_cell(model_id, n, selector, reps))
+            if ORACLE in cfg.selectors:
+                samples = [_replicate_sample(cfg.base_seed, models[model_id], n, rep) for rep in range(cfg.replicates)]
+                cells.append(_oracle_cell(model_id, n, samples, truths[model_id]))
     meta = {
         "base_seed": cfg.base_seed,
         "config": asdict(cfg),
@@ -223,12 +239,24 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> SimulationReport:
     return SimulationReport(cells=tuple(cells), metadata=meta)
 
 
+def _chunk_size(n: int, n_restarts: int) -> int:
+    """Samples of size n per study chunk: at most ``_CHUNK_SAMPLES``, and rows x n within ``_CHUNK_ROW_CELLS``.
+
+    A chunk's EM advances samples x ``n_restarts`` rows, and memory
+    proportional to rows x n (the gathered unit vectors and the sweep's
+    block), so large samples make smaller chunks.
+    """
+    return max(1, min(_CHUNK_SAMPLES, _CHUNK_ROW_CELLS // (n_restarts * n)))
+
+
 def select(name: str, sample, em: EmConfig) -> BandwidthResult:
     """RT, PI (fitting with ``em`` as given, seed included) or LCV on one sample.
 
-    The selectors are this module's globals, looked up at call time, so
-    rebinding ``simulate.plug_in`` (as perfbench/tracing.py does) reaches
-    every caller.
+    ``circkde fit`` and the study's RT and LCV call this; the study's PI
+    calls it when a chunk's ``plug_in_chunk`` raised. The selectors are
+    this module's globals, looked up at call time, so rebinding
+    ``simulate.plug_in`` (as perfbench/tracing.py does) reaches every
+    caller.
     """
     if name == RT:
         return rule_of_thumb(sample)
@@ -239,23 +267,50 @@ def select(name: str, sample, em: EmConfig) -> BandwidthResult:
     raise ValueError(f"unknown selector {name!r}")
 
 
-def _replicate_outcome(task) -> dict:
-    """All data-driven selectors on one replicate sample; shared truth grid."""
-    sample, selectors, truth, em_seed, em = task
-    em = replace(em, seed=em_seed)
-    out: dict = {}
-    for selector in selectors:
-        try:
-            res = select(selector, sample, em)
-            grid = kde_grid(KdeFit(sample, res.nu), truth.gridsize)
-            out[selector] = {
-                "ise": ise(grid, truth),
-                "fallback": res.fallback,
-                "selected_m": res.selected_m,
-            }
-        except Exception as exc:
-            out[selector] = {"error": f"{type(exc).__name__}: {exc}", "em_seed": em_seed}
-    return out
+def _replicate_sample(base_seed: int, model: ModelSpec, n: int, rep: int) -> np.ndarray:
+    return model.sample(n, make_rng(base_seed, catalogue.model_index(model.id), n, rep))
+
+
+def _chunk_outcomes(task) -> list[dict]:
+    """All data-driven selectors on each sample of one chunk, against its model's truth grid.
+
+    PI runs for the whole chunk through ``plug_in_chunk``. If that raises,
+    each sample re-runs PI alone through ``select``, so that an error
+    keeps its own message and replay key.
+    """
+    n, chunk, base_seed, truths, selectors, em = task
+    models = {m: catalogue.get_model(m) for m in truths}
+    samples = [_replicate_sample(base_seed, models[model_id], n, rep) for model_id, rep in chunk]
+    seeds = [derive_seed(base_seed, catalogue.model_index(model_id), n, rep, 97) for model_id, rep in chunk]
+    try:
+        pi = plug_in_chunk(samples, seeds, em) if PI in selectors else None
+    except Exception as exc:  # each sample re-runs PI alone below
+        warnings.warn(
+            f"PI on a chunk of {len(chunk)} samples of n={n} raised {type(exc).__name__}: {exc}; "
+            "re-running it one sample at a time",
+            stacklevel=2,
+        )
+        pi = None
+    outcomes = []
+    for i, ((model_id, _), sample, em_seed) in enumerate(zip(chunk, samples, seeds)):
+        truth = truths[model_id]
+        out: dict = {}
+        for selector in selectors:
+            try:
+                if selector == PI and pi is not None:
+                    res = pi[i]
+                else:
+                    res = select(selector, sample, replace(em, seed=em_seed))
+                grid = kde_grid(KdeFit(sample, res.nu), truth.gridsize)
+                out[selector] = {
+                    "ise": ise(grid, truth),
+                    "fallback": res.fallback,
+                    "selected_m": res.selected_m,
+                }
+            except Exception as exc:
+                out[selector] = {"error": f"{type(exc).__name__}: {exc}", "em_seed": em_seed}
+        outcomes.append(out)
+    return outcomes
 
 
 def _aggregate_cell(model_id, n, selector, outcomes) -> CellResult:

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from scipy.special import i0e, logsumexp
 
 from conftest import TWO_PI, circular_distance
 
-from circkde import em
+from circkde import em, simulate
 from circkde.bessel import KAPPA_CAP, is_saturated, mean_resultant_ratio
 from circkde.catalogue import get_model
 from circkde.em import (
@@ -22,9 +23,11 @@ from circkde.em import (
     fit_single_von_mises,
     log_likelihood,
     select_reference_mixture,
+    select_reference_mixtures,
 )
 from circkde.models import VonMisesMixture, curvature_integral, wrap_angle
 from circkde.rng import make_rng
+from circkde.simulate import SMOKE_MODELS
 
 
 @pytest.fixture(scope="module")
@@ -208,7 +211,7 @@ class TestRestarts:
         x = get_model("M20").sample(250, make_rng(42, 20, 250))
         mus0 = _initial_centers(x, 4, [make_rng(0, 4, r) for r in range(8)])
         u, cfg = _unit_vectors(x), EmConfig(max_iter=60)
-        alone = [_run_em_restarts(u, mus0[[r]], cfg) for r in range(8)]
+        alone = [_run_em_restarts(u, mus0[[r]], cfg)[0] for r in range(8)]
         assert len({f.n_iter for f in alone}) >= 5
         assert sorted(f.converged for f in alone) == [False] + [True] * 7
         lls = [f.log_likelihood for f in alone]
@@ -218,11 +221,69 @@ class TestRestarts:
             assert (solo.n_iter, solo.converged) == (n_iter, converged)
             assert solo.log_likelihood == pytest.approx(ll, rel=1e-9)
             # r wins a batch of itself and every restart it beats
-            fit = _run_em_restarts(u, mus0[[q for q in range(8) if lls[q] <= lls[r]]], cfg)
+            (fit,) = _run_em_restarts(u, mus0[[q for q in range(8) if lls[q] <= lls[r]]], cfg)
             for field in ("weights", "mus", "kappas"):
                 np.testing.assert_array_equal(getattr(fit.mixture, field), getattr(solo.mixture, field))
             assert (fit.log_likelihood, fit.n_iter, fit.converged) == (solo.log_likelihood, solo.n_iter, solo.converged)
             assert fit.ll_trace == solo.ll_trace and len(fit.ll_trace) == solo.n_iter + 1
+
+    def test_fit_alone_equals_fit_in_chunk(self, monkeypatch):
+        """Each sample's M = 2 fit inside a chunk of four is, field for field, its fit alone.
+
+        The first sample is two tied clusters of 700 at 0 and pi with one
+        point at pi / 2: both components reach a concentration near 700,
+        where that point's densities fall below 1e-304, so its sweeps take
+        ``_shift_low_columns`` and, in the chunk, redo the other samples'
+        columns unshifted. At ``max_iter`` = 25 the M5 sample's fit stops
+        unconverged, and blocks of 500 observations make every sweep of
+        the 1,401 observations a three-block sweep.
+        """
+        n, M, cfg = 1401, 2, EmConfig(max_iter=25)
+        tied = np.concatenate([np.zeros(700), np.full(700, math.pi), [math.pi / 2]])
+        samples = [tied] + [get_model(m).sample(n, make_rng(4, i)) for i, m in enumerate(["M20", "M7", "M5"])]
+        seeds = [11, 12, 13, 14]
+        monkeypatch.setattr(em, "_CHUNK_CELLS", 500 * cfg.n_restarts * M)
+        shifted = []
+        real = em._shift_low_columns
+
+        def spy(w, xb, d, s):
+            shifted.append(d.shape[0])
+            return real(w, xb, d, s)
+
+        monkeypatch.setattr(em, "_shift_low_columns", spy)
+        chunk = em._em_fits(np.stack(samples), M, cfg, seeds)
+        assert shifted and max(shifted) == 4 * cfg.n_restarts  # every sample's rows in the shifted sweep
+        assert [f.converged for f in chunk] == [True, True, True, False]
+        assert chunk[3].n_iter == cfg.max_iter
+        for sample, seed, fit in zip(samples, seeds, chunk):
+            assert_same_fit(fit, em_fit(sample, M, replace(cfg, seed=seed)))
+
+    @pytest.mark.parametrize("n", [20, 100])
+    def test_selection_alone_equals_selection_in_chunk(self, n):
+        """Every smoke model's sample and the degenerate sample, each candidate M fitted in one chunk."""
+        samples = [get_model(m).sample(n, make_rng(6, n, i)) for i, m in enumerate(SMOKE_MODELS)]
+        if n == 20:  # no valid fit: the fallback marker
+            samples.append(degenerate_sample())
+        seeds = [100 + i for i in range(len(samples))]
+        chunk = select_reference_mixtures(samples, seeds)
+        if n == 20:
+            assert chunk[-1].best is None
+        for sample, seed, sel in zip(samples, seeds, chunk):
+            alone = select_reference_mixture(sample, cfg=EmConfig(seed=seed))
+            assert (sel.aic_table, sel.rejected, sel.convergence) == (alone.aic_table, alone.rejected, alone.convergence)
+            assert sel.best_curvature == alone.best_curvature
+            if alone.best is None:
+                assert sel.best is None
+            else:
+                assert_same_fit(sel.best, alone.best)
+
+
+def assert_same_fit(a, b):
+    """Two ``MixtureFit`` equal bit for bit, field for field."""
+    for name in ("M", "log_likelihood", "ll_trace", "n_iter", "converged", "aic", "valid", "invalid_reason"):
+        assert getattr(a, name) == getattr(b, name), name
+    for name in ("weights", "mus", "kappas"):
+        np.testing.assert_array_equal(getattr(a.mixture, name), getattr(b.mixture, name))
 
 
 def sweep(theta, alpha, mus, kappas, block=None):
@@ -392,6 +453,28 @@ class TestMemory:
         finally:
             tracemalloc.stop()
         assert peak < 8 * (18 * n + 4 * em._CHUNK_CELLS)
+
+    def test_chunk_bounded_by_rows_times_n(self):
+        # The largest n at which a study chunk holds its full 16 samples,
+        # 80 rows of an M = 5 fit. A chunk's EM holds the samples' stacked
+        # unit vectors (3 / restarts floats per row and observation), the
+        # running rows' gathered unit vectors (3), one sweep block's
+        # densities and scaled unit vectors (M + 3, the block no longer than
+        # n) and its column sums and their logs (2): at most
+        # rows (M + 8.6) n floats, within 1.25 rows (M + 6) n.
+        cfg, M = EmConfig(max_iter=3), 5
+        n = simulate._CHUNK_ROW_CELLS // (simulate._CHUNK_SAMPLES * cfg.n_restarts)
+        samples = simulate._chunk_size(n, cfg.n_restarts)
+        assert samples == simulate._CHUNK_SAMPLES and simulate._chunk_size(n + 1, cfg.n_restarts) < samples
+        arrs = np.stack([get_model("M16").sample(n, make_rng(9, 16, i)) for i in range(samples)])
+        rows = samples * cfg.n_restarts
+        tracemalloc.start()
+        try:
+            em._em_fits(arrs, M, cfg, range(samples))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * 8 * rows * (M + 6) * n
 
 
 class TestInitialCenters:

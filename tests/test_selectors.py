@@ -29,6 +29,7 @@ from circkde.selectors import (
     lcv_objective,
     minimize_on_domain,
     plug_in,
+    plug_in_chunk,
     rule_of_thumb,
     taylor_rule_nu,
 )
@@ -181,6 +182,16 @@ class TestPlugIn:
         assert res.selector == PI
         assert res.nu == rt.nu
         assert res.diagnostics["fallback_reason"] == "no valid reference mixture"
+
+    def test_chunk_equals_plug_in_alone(self):
+        # Six smoke samples and the degenerate one, which falls back to RT.
+        samples = [get_model(m).sample(20, make_rng(8, i)) for i, m in enumerate(SMOKE_MODELS)]
+        samples.append(degenerate_sample())
+        seeds = [40 + i for i in range(len(samples))]
+        results = plug_in_chunk(samples, seeds, EmConfig(max_iter=50))
+        assert results[-1].fallback and not results[0].fallback
+        for sample, seed, res in zip(samples, seeds, results):
+            assert res == plug_in(sample, EmConfig(max_iter=50, seed=seed))
 
     def test_no_fallback_flag_on_success(self, m7_500):
         res = plug_in(m7_500, EmConfig(seed=12))

@@ -48,6 +48,34 @@ class TestRunExperiment:
         b["metadata"].pop("wall_time_s")
         assert a == b
 
+    def test_results_do_not_depend_on_workers_or_chunks(self, monkeypatch):
+        # Each size's six samples form one chunk that crosses from M2 to M7;
+        # chunks of 4 cross too and split M7's replicates, and chunks of 1
+        # fit every sample alone.
+        cfg = ExperimentConfig(
+            models=("M2", "M7"), sample_sizes=(60, 100), replicates=3,
+            selectors=(RT, PI, LCV), base_seed=5,
+        )
+
+        def run(workers):
+            report = run_experiment(cfg, workers=workers).to_dict()
+            report["metadata"].pop("wall_time_s")
+            return report
+
+        one = run(1)
+        assert run(2) == one
+        for size, workers in ((4, 2), (1, 1)):
+            monkeypatch.setattr(simulate, "_CHUNK_SAMPLES", size)
+            assert run(workers) == one
+
+    def test_chunk_size(self):
+        # The study's six smoke samples of each size form one chunk.
+        assert simulate._chunk_size(250, 5) >= len(simulate.SMOKE_MODELS)
+        assert simulate._chunk_size(100, 5) == simulate._CHUNK_SAMPLES
+        n = simulate._CHUNK_ROW_CELLS // 5
+        assert simulate._chunk_size(n, 5) == 1 and simulate._chunk_size(10 * n, 5) == 1
+        assert simulate._chunk_size(n // 2, 5) == 2
+
     def test_single_replicate_row(self):
         cfg = ExperimentConfig(
             models=("M1",), sample_sizes=(100,), replicates=1, selectors=(RT,), base_seed=1
@@ -226,12 +254,19 @@ class TestSelect:
                 raise RuntimeError("no mixture for replicate 1")
             return BandwidthResult(nu=2.0, selector=PI)
 
+        def failing_chunk(samples, seeds, cfg):
+            raise RuntimeError("the chunk's PI failed")
+
+        # The chunk's PI raises, so each replicate re-runs PI alone through select.
+        monkeypatch.setattr(simulate, "plug_in_chunk", failing_chunk)
         monkeypatch.setattr(simulate, "plug_in", flaky_plug_in)
         cfg = ExperimentConfig(
             models=("M2",), sample_sizes=(50,), replicates=3, selectors=(PI,), base_seed=1
         )
-        report = run_experiment(cfg)
+        with pytest.warns(UserWarning, match="re-running it one sample at a time"):
+            report = run_experiment(cfg)
         (cell,) = report.cells
+        assert len(seeds) == 3
         assert cell.errors == 1 and cell.replicates == 2
         # the replay key: replicate 1's sample and EM seed are derived from it alone
         assert seeds[1] == derive_seed(1, model_index("M2"), 50, 1, 97)
