@@ -1,7 +1,7 @@
 """Maximum-likelihood von Mises mixtures: EM fitting and AIC selection.
 
 Each EM iteration is one sweep over blocks of about ``_CHUNK_CELLS`` /
-(restarts M) observations (``_sweep``). One matmul of each component's
+(restarts M) observations (``_sweep_rows``). One matmul of each component's
 (kappa cos mu, kappa sin mu, log-normalizer) with the block's
 (cos theta, sin theta, 1) gives every log density. Their exponentials,
 taken without a shift since no log density exceeds about 4.9, and their
@@ -9,13 +9,16 @@ column sums give the log-likelihood, and one batched product gives each
 component's sums of r cos theta, r sin theta and r, r the
 responsibility. The M-step needs only those sums, so no (restarts, M, n)
 array is formed and memory does not grow with n. The restarts of one fit
-advance in lockstep, so one iteration is a fixed, small number of numpy
-calls on (restarts, M) arrays and one block. ``select_reference_mixtures``
-runs that lockstep over several samples of one size at once, with
-samples x restarts rows, each row sweeping its own sample; every row
-acts alone, so a sample's fit is bit for bit the same alone or in such
-a chunk. Initialization is a seeded farthest-point sweep over the data,
-all restarts at once, so every fit is reproducible from an integer seed.
+advance in lockstep (``_run_em_restarts``), so one iteration is a fixed,
+small number of numpy calls on the restarts' parameters and one block.
+``select_reference_mixtures`` runs that lockstep over several samples of
+one size and every candidate M at once, with samples x restarts rows per
+M, each row sweeping its own sample. The von Mises weights, the M-step
+and the stop test take every M's rows in one call each; each M keeps its
+own sweep kernels and block length, so every row acts alone, and a
+sample's fit is bit for bit the same alone or in such a chunk.
+Initialization is a seeded farthest-point sweep over the data, all
+restarts at once, so every fit is reproducible from an integer seed.
 """
 
 from __future__ import annotations
@@ -36,8 +39,13 @@ DEFAULT_CANDIDATE_MS: tuple[int, ...] = (2, 3, 4, 5)
 
 _LOG_TWO_PI = math.log(TWO_PI)
 
+# One lockstep over several samples holds at most this many rows x n
+# cells (see _em_fit_groups); study chunks are sized so that one M's rows
+# fit (simulate._chunk_size).
+_LOCKSTEP_CELLS = 1 << 18
+
 # A sweep column whose density sum is below this is redone shifted: its
-# subnormal terms would otherwise cost digits (see _sweep).
+# subnormal terms would otherwise cost digits (see _sweep_rows).
 _SUM_FLOOR = 1e-290
 
 
@@ -163,14 +171,16 @@ def select_reference_mixtures(samples, seeds, cfg: EmConfig | None = None) -> li
     """:func:`select_reference_mixture` of each of several samples of one size, over the default candidates.
 
     Sample i is fitted with EM seed ``seeds[i]`` in place of ``cfg.seed``.
-    Each candidate M is fitted for every sample in one lockstep
-    (:func:`_run_em_restarts`), and every selection is bit for bit the one
+    Every candidate M is fitted for every sample in one lockstep loop
+    (:func:`_run_em_restarts`), split only where the rows x n of all
+    candidates would pass ``_LOCKSTEP_CELLS``. Each M keeps its own sweep
+    kernels and block length, so every selection is bit for bit the one
     ``select_reference_mixture`` gives the sample alone.
     """
     arrs = np.stack([_as_sample(s) for s in samples])
     cfg = cfg or EmConfig()
     n = arrs.shape[1]
-    fits = {m: _em_fits(arrs, m, cfg, seeds) for m in DEFAULT_CANDIDATE_MS if n >= 3 * m}
+    fits = _em_fit_groups(arrs, [m for m in DEFAULT_CANDIDATE_MS if n >= 3 * m], cfg, seeds)
     return [_choose(DEFAULT_CANDIDATE_MS, {m: f[i] for m, f in fits.items()}) for i in range(len(arrs))]
 
 
@@ -205,15 +215,28 @@ def _choose(candidates, fits: dict[int, MixtureFit]) -> MixtureSelection:
 
 
 def _em_fits(arrs: np.ndarray, M: int, cfg: EmConfig, seeds) -> list[MixtureFit]:
-    """:func:`em_fit` of each row of the (samples, n) ``arrs`` for M >= 2, row i with EM seed ``seeds[i]``.
+    """:func:`em_fit` of each row of the (samples, n) ``arrs`` for M >= 2, row i with EM seed ``seeds[i]``."""
+    return _em_fit_groups(arrs, (M,), cfg, seeds)[M]
 
-    All samples' restarts run in one lockstep; a single sample's unit
-    vectors are passed on as one (3, n) array.
+
+def _em_fit_groups(arrs: np.ndarray, Ms, cfg: EmConfig, seeds) -> dict[int, list[MixtureFit]]:
+    """:func:`_em_fits` for each M >= 2 of ``Ms``, as many M in one lockstep as ``_LOCKSTEP_CELLS`` allows.
+
+    Each of several samples' running rows holds its own gathered unit
+    vectors, so one loop takes as many M as keep their rows x n within
+    ``_LOCKSTEP_CELLS``, and at least one. A single sample's unit vectors
+    are passed on as one (3, n) array, never gathered, and all its M run
+    in one loop.
     """
-    mus0 = [_initial_centers(arr, M, [make_rng(seed, M, r) for r in range(cfg.n_restarts)])
-            for arr, seed in zip(arrs, seeds, strict=True)]
+    # The centres first: their (restarts, n) distance arrays are freed before the unit vectors exist.
+    mus0 = [np.concatenate([_initial_centers(arr, m, [make_rng(seed, m, r) for r in range(cfg.n_restarts)])
+                            for arr, seed in zip(arrs, seeds, strict=True)]) for m in Ms]
     x = _unit_vectors(arrs[0]) if len(arrs) == 1 else np.stack([_unit_vectors(arr) for arr in arrs])
-    return _run_em_restarts(x, np.concatenate(mus0), cfg)
+    size = len(Ms) if len(arrs) == 1 else max(1, _LOCKSTEP_CELLS // (arrs.size * cfg.n_restarts))
+    fits = {}
+    for lo in range(0, len(Ms), size):
+        fits.update(zip(Ms[lo : lo + size], _run_em_restarts(x, mus0[lo : lo + size], cfg)))
+    return fits
 
 
 def _unit_vectors(sample) -> np.ndarray:
@@ -250,125 +273,182 @@ def _circ_dist(a: np.ndarray, b) -> np.ndarray:
     return np.minimum(diff, TWO_PI - diff, out=diff)
 
 
-def _run_em_restarts(x: np.ndarray, mus0: np.ndarray, cfg: EmConfig) -> list[MixtureFit]:
-    """Every restart of one or several samples of one size, advanced in lockstep.
+def _run_em_restarts(x: np.ndarray, mus0s, cfg: EmConfig) -> list[list[MixtureFit]]:
+    """Every restart of one or several samples of one size, for one or several M, advanced in lockstep.
 
     ``x`` is one sample's (3, n) unit vectors (:func:`_unit_vectors`) or
-    several samples' (samples, 3, n); ``mus0`` holds each sample's rows of
-    initial centres in turn, the same number for each. Working parameter
-    tensors have shape (running rows, M); each iteration is one
-    :func:`_sweep` and one :func:`_m_step`. When a row's relative
-    log-likelihood change drops below tolerance, its parameters, iteration
-    count and convergence flag are written to the output arrays once and
-    the row leaves the working arrays, so no step is spent on it
-    afterwards; with several samples, the running rows' unit vectors are
-    gathered again then. Each step acts on every row alone, and the sweep's
-    block length depends on n, M and ``cfg.n_restarts`` only, so each
-    restart, and each sample's best-of-restarts fit, is bit for bit what it
-    is run alone. Returns one fit per sample.
+    several samples' (samples, 3, n). Each (rows, M) array of ``mus0s`` is
+    one group: an M's rows of initial centres, each sample's in turn, the
+    same number for each. The working parameters are flat, one entry per
+    (running row, component), group after group and row after row, so a
+    group's entries form a contiguous (rows, M) slab. Each iteration
+    takes the von Mises weights (:func:`_weights`) of every entry at once,
+    then each group's sweep (:func:`_sweep_rows`, with its own block
+    length and kernels), then one :func:`_m_step` of every entry. When a
+    row's relative log-likelihood change drops below tolerance, its
+    parameters, iteration count and convergence flag are written to the
+    output arrays once and the row leaves the working arrays, so no step
+    is spent on it afterwards; with several samples, its group's running
+    rows' unit vectors are gathered again then. Each step acts on every
+    row alone, and a group's block length depends on n, its M and
+    ``cfg.n_restarts`` only, so each restart, and each sample's
+    best-of-restarts fit, is bit for bit what it is run alone. Returns one
+    list per group, of one fit per sample.
     """
     n = x.shape[-1]
-    nr, m = mus0.shape
-    per = nr if x.ndim == 2 else nr // x.shape[0]  # rows per sample
-
-    def unit_vectors(rows):
-        return x if x.ndim == 2 else x[rows // per]
-
-    block = max(1, _CHUNK_CELLS // (cfg.n_restarts * m))
-    buf = _sweep_buffer(nr, m, min(block, n))  # reused by every sweep of this fit
-    alpha = np.full((nr, m), 1.0 / m)
-    mus = mus0.copy()
-    kappas = np.ones((nr, m))
-    final = np.empty((3, nr, m))  # alpha, mus, kappas as each row stopped
+    ms = np.array([m0.shape[1] for m0 in mus0s])
+    nrs = np.array([m0.shape[0] for m0 in mus0s])
+    pers = nrs if x.ndim == 2 else nrs // x.shape[0]  # rows per sample
+    blocks = [max(1, _CHUNK_CELLS // (cfg.n_restarts * m)) for m in ms.tolist()]
+    # One scratch for every group's sweep (see _sweep_rows), reused by each iteration.
+    buf = np.empty(max(nr * (m + 3) * min(b, n) for nr, m, b in zip(nrs.tolist(), ms.tolist(), blocks)))
+    row_group = np.repeat(np.arange(ms.size), nrs)  # the group of each restart
+    row_sample = np.concatenate([np.arange(nr) // per for nr, per in zip(nrs, pers)])
+    first = np.concatenate(([0], np.cumsum(ms[row_group])))  # each restart's first entry
+    nr, ne = row_group.size, int(first[-1])
+    mus = np.concatenate([m0.ravel() for m0 in mus0s])
+    alpha = np.repeat(1.0 / ms, ms * nrs)
+    kappas = np.ones(ne)
+    final = np.empty((3, ne))  # alpha, mus, kappas as each row stopped
     n_iters = np.full(nr, cfg.max_iter)
     converged = np.zeros(nr, dtype=bool)
     run = np.arange(nr)  # the restart behind each working row
-    xr = unit_vectors(run)
+    ent = np.arange(ne)  # the entry of final behind each working entry
+
+    def unit_vectors(rows):
+        return x if x.ndim == 2 else x[row_sample[rows]]
+
+    def slabs_of(counts):
+        """(group, rows, entries, M) of each group with running rows, its rows and entries as slices."""
+        out, lo, elo = [], 0, 0
+        for g, (count, m) in enumerate(zip(counts.tolist(), ms.tolist())):
+            if count:
+                out.append((g, slice(lo, lo + count), slice(elo, elo + count * m), m))
+                lo, elo = lo + count, elo + count * m
+        return out
+
+    def sweeps(alpha, mus, kappas, slabs, xrs):
+        """Every group's log-likelihoods and (3, entries) sums."""
+        w = _weights(alpha, mus, kappas)
+        ll = np.zeros(slabs[-1][1].stop)
+        sums = np.zeros(w.shape)
+        for g, rows, ents, m in slabs:
+            _sweep_rows(xrs[g], w[:, ents].reshape(3, -1, m), blocks[g], buf, ll[rows], sums[:, ents].reshape(3, -1, m))
+        return ll, sums
+
+    counts = nrs.copy()  # each group's running rows
+    live = every = slabs_of(counts)
+    group_rows = np.split(run, np.cumsum(nrs)[:-1])
+    xrs = [unit_vectors(rows) for rows in group_rows]
     # Row it - 1 holds iteration it's log-likelihoods; restart r runs
     # iterations 1..n_iters[r], so its trace is a prefix of its column.
     ll_hist = np.empty((cfg.max_iter, nr))
     for it in range(1, cfg.max_iter + 1):
-        ll, sums = _sweep(xr, alpha, mus, kappas, block, buf)
-        alpha, mus, kappas = _m_step(sums, n)
+        ll, sums = sweeps(alpha, mus, kappas, live, xrs)
+        alpha, mus, kappas = _m_step(sums, n, [(ents, m) for _, _, ents, m in live])
         ll_hist[it - 1, run] = ll
         if it > 1:
             change = ll - ll_prev
             done = np.abs(change, out=change) <= tol
             if done.any():
                 stop = run[done]
-                final[:, stop] = alpha[done], mus[done], kappas[done]
+                done_ent = np.repeat(done, ms[row_group[run]])
+                final[:, ent[done_ent]] = alpha[done_ent], mus[done_ent], kappas[done_ent]
                 n_iters[stop] = it
                 converged[stop] = True
-                keep = ~done
-                run, alpha, mus, kappas, ll = run[keep], alpha[keep], mus[keep], kappas[keep], ll[keep]
+                keep, keep_ent = ~done, ~done_ent
+                run, ll = run[keep], ll[keep]
+                ent, alpha, mus, kappas = ent[keep_ent], alpha[keep_ent], mus[keep_ent], kappas[keep_ent]
                 if not run.size:
                     break
-                xr = unit_vectors(run)
+                lost = np.bincount(row_group[stop], minlength=ms.size)
+                counts -= lost
+                live = slabs_of(counts)
+                for g in np.flatnonzero(lost).tolist():
+                    xrs[g] = unit_vectors(run[row_group[run] == g])
         # The next iteration's stop threshold, rel_tol * max(|ll_prev|, 1).
         ll_prev = ll
         tol = np.abs(ll)
         np.maximum(tol, 1.0, out=tol)
         tol *= cfg.rel_tol
-    final[:, run] = alpha, mus, kappas  # restarts that reached max_iter
-    alpha, mus, kappas = final
-    del xr  # the final sweep gathers every row again
-    ll_final, _ = _sweep(unit_vectors(np.arange(nr)), alpha, mus, kappas, block, buf)
-    fits = []
-    for lo in range(0, nr, per):
-        best = lo + int(np.argmax(ll_final[lo : lo + per]))
-        trace = tuple(ll_hist[: n_iters[best], best].tolist()) + (float(ll_final[best]),)
-        # Restarts can reach one optimum with permuted labels; sorting by mean
-        # direction makes the reported order independent of which one won.
-        order = np.argsort(wrap_angle(mus[best]), kind="stable")
-        mix = VonMisesMixture(alpha[best, order], mus[best, order], kappas[best, order])
-        fits.append(_finalize(
-            mix,
-            float(ll_final[best]),
-            converged=bool(converged[best]),
-            n_iter=int(n_iters[best]),
-            trace=trace,
-            n=n,
-        ))
-    return fits
+    final[:, ent] = alpha, mus, kappas  # restarts that reached max_iter
+    del xrs  # the final sweep gathers every row again
+    ll_final, _ = sweeps(*final, every, [unit_vectors(rows) for rows in group_rows])
+    out = []
+    for rows, per in zip(group_rows, pers.tolist()):
+        fits = []
+        for lo in range(rows[0], rows[-1] + 1, per):
+            best = lo + int(np.argmax(ll_final[lo : lo + per]))
+            alpha, mus, kappas = final[:, first[best] : first[best + 1]]
+            trace = tuple(ll_hist[: n_iters[best], best].tolist()) + (float(ll_final[best]),)
+            # Restarts can reach one optimum with permuted labels; sorting by mean
+            # direction makes the reported order independent of which one won.
+            order = np.argsort(wrap_angle(mus), kind="stable")
+            fits.append(_finalize(
+                VonMisesMixture(alpha[order], mus[order], kappas[order]),
+                float(ll_final[best]),
+                converged=bool(converged[best]),
+                n_iter=int(n_iters[best]),
+                trace=trace,
+                n=n,
+            ))
+        out.append(fits)
+    return out
 
 
-def _sweep_buffer(restarts: int, m: int, block: int) -> np.ndarray:
-    """Scratch for :func:`_sweep`: one block's densities and scaled unit vectors."""
-    return np.empty(restarts * (m + 3) * block)
+def _weights(alpha, mus, kappas) -> np.ndarray:
+    """Each component's (kappa cos mu, kappa sin mu, log-normalizer), stacked on a new first axis.
 
-
-def _sweep(x, alpha, mus, kappas, block, buf=None):
-    """Log-likelihood and per-component sums of each restart, ``block`` observations at a time.
-
-    Returns ``ll`` of shape (restarts,) and ``sums`` of shape (restarts, 3, M)
-    holding sum r cos theta, sum r sin theta and sum r for the
-    responsibilities r. Each component's weights (kappa cos mu, kappa sin mu,
-    log-normalizer log alpha - log 2 pi - log i0e(kappa) - kappa) meet the
-    (3, n) ``x`` of :func:`_unit_vectors` in one matmul, which gives every
-    log density. Their ``exp`` D and its column sums s give the
-    log-likelihood sum log s, and one batched product of (cos theta,
-    sin theta, 1) / s with D gives all three sums, so the normalized
-    responsibilities are never formed. A log density is at most
-    log alpha - log(2 pi i0e(kappa)) <= 4.9 at ``KAPPA_CAP``, so ``exp`` cannot
-    overflow and no column needs its maximum subtracted. A column whose sum
-    is below ``_SUM_FLOOR`` would lose digits to underflow; only such
-    columns are recomputed shifted by their largest log density. ``buf``
-    (from :func:`_sweep_buffer`, by default a new one) holds one block, so
-    memory does not grow with n.
+    The log-normalizer is log alpha - log 2 pi - log i0e(kappa) - kappa.
+    Every entry is computed alone, so its bits do not depend on the shape
+    or the other entries.
     """
-    nr, m = kappas.shape
-    if buf is None:
-        buf = _sweep_buffer(nr, m, min(block, x.shape[-1]))
-    w = np.empty((3, nr, m))
+    w = np.empty((3,) + np.shape(kappas))
     np.multiply(kappas, np.cos(mus), out=w[0])
     np.multiply(kappas, np.sin(mus), out=w[1])
     lognorm = np.log(alpha, out=w[2])
     lognorm -= _LOG_TWO_PI
     lognorm -= np.log(i0e(kappas))
     lognorm -= kappas
-    w = w.transpose(1, 2, 0)
+    return w
+
+
+def _sweep(x, alpha, mus, kappas, block):
+    """Log-likelihood and per-component sums of each restart, ``block`` observations at a time.
+
+    Returns ``ll`` of shape (restarts,) and ``sums`` of shape (restarts, 3, M)
+    holding sum r cos theta, sum r sin theta and sum r for the
+    responsibilities r: :func:`_sweep_rows` with the parameters'
+    :func:`_weights`, on a scratch of one block, so memory does not grow
+    with n.
+    """
+    nr, m = kappas.shape
     ll = np.zeros(nr)
-    sums = np.zeros((nr, 3, m))
+    sums = np.zeros((3, nr, m))
+    buf = np.empty(nr * (m + 3) * min(block, x.shape[-1]))
+    _sweep_rows(x, _weights(alpha, mus, kappas), block, buf, ll, sums)
+    return ll, sums.transpose(1, 0, 2)
+
+
+def _sweep_rows(x, w, block, buf, ll, sums):
+    """Add each row's log-likelihood to ``ll`` and its component sums to the (3, rows, M) ``sums``.
+
+    The (3, rows, M) weights ``w`` (:func:`_weights`) meet the (3, n)
+    ``x`` of :func:`_unit_vectors`, or each row's own (rows, 3, n), in one
+    matmul per block, which gives every log density. Their ``exp`` D and
+    its column sums s give the log-likelihood sum log s, and one batched
+    product of (cos theta, sin theta, 1) / s with D gives all three sums,
+    so the normalized responsibilities are never formed. A log density is
+    at most log alpha - log(2 pi i0e(kappa)) <= 4.9 at ``KAPPA_CAP``, so
+    ``exp`` cannot overflow and no column needs its maximum subtracted. A
+    column whose sum is below ``_SUM_FLOOR`` would lose digits to
+    underflow; only such columns are recomputed shifted by their largest
+    log density. ``buf`` holds the block's densities and scaled unit
+    vectors, rows (M + 3) min(block, n) floats.
+    """
+    _, nr, m = w.shape
+    w = w.transpose(1, 2, 0)
+    sums = sums.transpose(1, 0, 2)
     for lo in range(0, x.shape[-1], block):
         xb = x[..., lo : lo + block]
         cells = nr * m * xb.shape[-1]
@@ -382,7 +462,6 @@ def _sweep(x, alpha, mus, kappas, block, buf=None):
         ll += np.add.reduce(logs, axis=1)
         y = np.divide(xb, s[:, None, :], out=buf[cells : cells + s.size * 3].reshape(nr, 3, -1))
         sums += y @ d.transpose(0, 2, 1)
-    return ll, sums
 
 
 def _shift_low_columns(w, xb, d, s):
@@ -402,9 +481,13 @@ def _shift_low_columns(w, xb, d, s):
     return logs
 
 
-def _m_step(sums, n):
-    """Weights, mean directions and concentrations from :func:`_sweep`'s sums."""
-    c, s, wsum = sums.transpose(1, 0, 2)
+def _m_step(sums, n, slabs):
+    """Weights, mean directions and concentrations from the (3, entries) sums of :func:`_run_em_restarts`.
+
+    Every step but the weights' normalization acts on each entry alone;
+    that one sums each (entries, M) slab's (rows, M) weights over each row.
+    """
+    c, s, wsum = sums
     mus = np.arctan2(s, c)
     mus %= TWO_PI
     rbar = np.hypot(c, s)
@@ -412,7 +495,9 @@ def _m_step(sums, n):
     kappas = inverse_mean_resultant_ratio(np.minimum(rbar, 1.0, out=rbar))
     # Guard against components that lost all support this iteration.
     alpha = np.maximum(wsum / n, 1e-300)
-    alpha /= np.add.reduce(alpha, axis=1, keepdims=True)
+    for ents, m in slabs:
+        slab = alpha[ents].reshape(-1, m)
+        slab /= np.add.reduce(slab, axis=1, keepdims=True)
     return alpha, mus, kappas
 
 

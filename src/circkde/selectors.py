@@ -211,7 +211,7 @@ def plug_in_chunk(samples, seeds, cfg: EmConfig) -> list[BandwidthResult]:
     """:func:`plug_in` of each of several samples of one size, sample i with EM seed ``seeds[i]``.
 
     The reference mixtures come from ``em.select_reference_mixtures``,
-    which fits each candidate M for the whole chunk in one lockstep; every
+    which fits every candidate M for the whole chunk in one lockstep; every
     step after EM is ``plug_in``'s, so each result equals ``plug_in(sample,
     replace(cfg, seed=seeds[i]))`` bit for bit.
     """
@@ -274,14 +274,16 @@ def lcv(sample, domain: NuSearchDomain | None = None) -> BandwidthResult:
     S_i = sum_m rho~_m sum_j cos(m (Theta_i - Theta_j)) and
     rho~ = (1, 2 rho_1, 2 rho_2, ...). ``kde._cosine_sums`` keeps its
     pieces of the two trigonometric tables and gives S for each
-    nu in O(K n) time and 2 (B + Q) n floats, B + Q about 2 sqrt(K). Rows
-    whose sum falls below ``_DIRECT_BELOW`` are recomputed by the direct
-    sum. The sample is wrapped once, on entry, for the tables, those rows
-    and ``ties``. ``diagnostics`` holds ``orders`` (K), ``direct_rows``
-    (recomputed rows, summed over all evaluations) and ``ties``: the
-    observations whose wrapped value another observation shares. When
-    every value is tied the objective grows without bound in nu; ``ties``
-    does not change the pick.
+    nu in O(K n) time and 2 (B + Q) n floats, B + Q about 2 sqrt(K). The
+    probes' coefficient rows come from one ``_kernel_coefficients`` call,
+    whose rows are bit for bit those of one-nu calls; each golden-section
+    point takes a one-nu call. Rows whose sum falls below ``_DIRECT_BELOW``
+    are recomputed by the direct sum. The sample is wrapped once, on
+    entry, for the tables, those rows and ``ties``. ``diagnostics`` holds
+    ``orders`` (K), ``direct_rows`` (recomputed rows, summed over all
+    evaluations) and ``ties``: the observations whose wrapped value
+    another observation shares. When every value is tied the objective
+    grows without bound in nu; ``ties`` does not change the pick.
     """
     arr = wrap_angle(_as_sample(sample))
     n = arr.size
@@ -290,14 +292,20 @@ def lcv(sample, domain: NuSearchDomain | None = None) -> BandwidthResult:
     domain = domain or NuSearchDomain.for_sample_size(n)
     orders = _order_count(domain.nu_max)
     cosine_sums = _cosine_sums(arr, orders)
+    probes = domain.probes()
+    probe_coef = _kernel_coefficients(probes, orders)
+    probe_coef[:, 1:] *= 2.0
+    probe_rows = dict(zip(probes.tolist(), probe_coef))
     direct_rows = 0
 
     def objective(nu: float) -> float:
         nonlocal direct_rows
         # Orders from K on were dropped for nu_max; at a larger nu they need not be negligible.
         assert nu <= domain.nu_max, f"nu {nu} above the nu_max {domain.nu_max} of its orders"
-        coef = _kernel_coefficients(np.array([nu]), orders)[0]
-        coef[1:] *= 2.0
+        coef = probe_rows.get(nu)
+        if coef is None:
+            coef = _kernel_coefficients(np.array([nu]), orders)[0]
+            coef[1:] *= 2.0
         sums = i0e(nu) * cosine_sums(coef) - 1.0
         low = np.flatnonzero(sums < _DIRECT_BELOW)
         if low.size:

@@ -24,6 +24,7 @@ import numpy as np
 
 from . import catalogue
 from .em import EmConfig
+from .em import _LOCKSTEP_CELLS
 from .kde import DEFAULT_GRIDSIZE, KdeFit, density_grid_of, ise, kde_grid, oracle_mise_curve
 from .kde import _check_gridsize
 from .models import ModelSpec
@@ -54,10 +55,10 @@ DEFAULT_K_SIGMA = 3.0
 DEFAULT_ABS_SLACK = 0.10
 
 # A study chunk holds at most this many samples of one size, and at most
-# _CHUNK_ROW_CELLS EM rows x n (see _chunk_size). Neither depends on the
-# worker count, so neither do the results.
+# _CHUNK_ROW_CELLS EM rows x n for each candidate M (see _chunk_size).
+# Neither depends on the worker count, so neither do the results.
 _CHUNK_SAMPLES = 16
-_CHUNK_ROW_CELLS = 1 << 18
+_CHUNK_ROW_CELLS = _LOCKSTEP_CELLS
 
 
 @dataclass(frozen=True)
@@ -188,9 +189,10 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> SimulationReport:
 
     The data-driven selectors run on chunks: each sample size's (model,
     replicate) samples, in config order, cut into runs of at most
-    :func:`_chunk_size` samples. A chunk fits PI's reference mixtures in
-    one EM lockstep per candidate M (``selectors.plug_in_chunk``); RT and
-    LCV, and every KDE grid and ISE, run per sample. With ``workers`` > 1
+    :func:`_chunk_size` samples. A chunk fits PI's reference mixtures for
+    every candidate M in one EM lockstep loop (``selectors.plug_in_chunk``),
+    each M with its own sweep kernels and block length; RT and LCV, and
+    every KDE grid and ISE, run per sample. With ``workers`` > 1
     a process pool maps the chunks. Deterministic for a fixed config
     regardless of ``workers``: replicate streams are derived from
     (base_seed, model, n, replicate), the chunks do not depend on
@@ -242,9 +244,11 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> SimulationReport:
 def _chunk_size(n: int, n_restarts: int) -> int:
     """Samples of size n per study chunk: at most ``_CHUNK_SAMPLES``, and rows x n within ``_CHUNK_ROW_CELLS``.
 
-    A chunk's EM advances samples x ``n_restarts`` rows, and memory
-    proportional to rows x n (the gathered unit vectors and the sweep's
-    block), so large samples make smaller chunks.
+    A chunk's EM advances samples x ``n_restarts`` rows for each candidate
+    M, and memory proportional to rows x n (the gathered unit vectors and
+    the sweep's block), so large samples make smaller chunks. The EM loop
+    takes the candidates together only while all their rows x n stay
+    within the same cap (``em._em_fit_groups``).
     """
     return max(1, min(_CHUNK_SAMPLES, _CHUNK_ROW_CELLS // (n_restarts * n)))
 

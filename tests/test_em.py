@@ -88,6 +88,12 @@ def reference_em(x, mus0, cfg: EmConfig):
     return float(logsumexp(log_dens(), axis=0).sum()), it, converged
 
 
+def tied_chunk():
+    """Four samples of n = 1,401: two tied clusters of 700 at 0 and pi with one point at pi / 2, then M20, M7, M5."""
+    tied = np.concatenate([np.zeros(700), np.full(700, math.pi), [math.pi / 2]])
+    return [tied] + [get_model(m).sample(1401, make_rng(4, i)) for i, m in enumerate(["M20", "M7", "M5"])]
+
+
 def degenerate_sample():
     """A tight cluster plus one isolated point.
 
@@ -211,7 +217,7 @@ class TestRestarts:
         x = get_model("M20").sample(250, make_rng(42, 20, 250))
         mus0 = _initial_centers(x, 4, [make_rng(0, 4, r) for r in range(8)])
         u, cfg = _unit_vectors(x), EmConfig(max_iter=60)
-        alone = [_run_em_restarts(u, mus0[[r]], cfg)[0] for r in range(8)]
+        alone = [_run_em_restarts(u, [mus0[[r]]], cfg)[0][0] for r in range(8)]
         assert len({f.n_iter for f in alone}) >= 5
         assert sorted(f.converged for f in alone) == [False] + [True] * 7
         lls = [f.log_likelihood for f in alone]
@@ -221,7 +227,7 @@ class TestRestarts:
             assert (solo.n_iter, solo.converged) == (n_iter, converged)
             assert solo.log_likelihood == pytest.approx(ll, rel=1e-9)
             # r wins a batch of itself and every restart it beats
-            (fit,) = _run_em_restarts(u, mus0[[q for q in range(8) if lls[q] <= lls[r]]], cfg)
+            ((fit,),) = _run_em_restarts(u, [mus0[[q for q in range(8) if lls[q] <= lls[r]]]], cfg)
             for field in ("weights", "mus", "kappas"):
                 np.testing.assert_array_equal(getattr(fit.mixture, field), getattr(solo.mixture, field))
             assert (fit.log_likelihood, fit.n_iter, fit.converged) == (solo.log_likelihood, solo.n_iter, solo.converged)
@@ -239,8 +245,7 @@ class TestRestarts:
         the 1,401 observations a three-block sweep.
         """
         n, M, cfg = 1401, 2, EmConfig(max_iter=25)
-        tied = np.concatenate([np.zeros(700), np.full(700, math.pi), [math.pi / 2]])
-        samples = [tied] + [get_model(m).sample(n, make_rng(4, i)) for i, m in enumerate(["M20", "M7", "M5"])]
+        samples = tied_chunk()
         seeds = [11, 12, 13, 14]
         monkeypatch.setattr(em, "_CHUNK_CELLS", 500 * cfg.n_restarts * M)
         shifted = []
@@ -257,6 +262,75 @@ class TestRestarts:
         assert chunk[3].n_iter == cfg.max_iter
         for sample, seed, fit in zip(samples, seeds, chunk):
             assert_same_fit(fit, em_fit(sample, M, replace(cfg, seed=seed)))
+
+    def test_candidates_in_one_loop_equal_em_fit(self, monkeypatch):
+        """Every M = 2..5 fit of a chunk of four, all in one loop, is, field for field, ``em_fit``'s.
+
+        The tied sample of :meth:`test_fit_alone_equals_fit_in_chunk` makes
+        the M = 2 group, and no other, take ``_shift_low_columns``. At
+        ``max_iter`` = 25 most M >= 3 fits stop unconverged. Blocks of
+        1,401 / (M / 2) observations sweep M = 2 in one block, M = 3 in two
+        and M = 4, 5 in three.
+        """
+        n, cfg = 1401, EmConfig(max_iter=25)
+        samples = tied_chunk()
+        seeds = [11, 12, 13, 14]
+        monkeypatch.setattr(em, "_CHUNK_CELLS", n * cfg.n_restarts * 2)
+        loops, shifted = [], []
+        real_run, real_shift = em._run_em_restarts, em._shift_low_columns
+
+        def run_spy(x, mus0s, cfg):
+            loops.append([m0.shape for m0 in mus0s])
+            return real_run(x, mus0s, cfg)
+
+        def shift_spy(w, xb, d, s):
+            shifted.append(d.shape)
+            return real_shift(w, xb, d, s)
+
+        monkeypatch.setattr(em, "_run_em_restarts", run_spy)
+        monkeypatch.setattr(em, "_shift_low_columns", shift_spy)
+        fits = em._em_fit_groups(np.stack(samples), (2, 3, 4, 5), cfg, seeds)
+        assert loops == [[(4 * cfg.n_restarts, m) for m in (2, 3, 4, 5)]]
+        assert shifted and {shape[:2] for shape in shifted} == {(4 * cfg.n_restarts, 2)}
+        assert {shape[2] for shape in shifted} == {n}
+        assert [f.converged for f in fits[2]] == [True, True, True, False]
+        assert sum(not f.converged for fs in fits.values() for f in fs) >= 8
+        for m, fs in fits.items():
+            for sample, seed, fit in zip(samples, seeds, fs, strict=True):
+                assert_same_fit(fit, em_fit(sample, m, replace(cfg, seed=seed)))
+
+    def test_candidates_of_a_small_sample_in_one_loop(self):
+        """At n = 12 the chunk fits M = 2, 3, 4 in one loop, each equal to ``em_fit``, and rejects M = 5."""
+        samples = [get_model(m).sample(12, make_rng(6, 12, i)) for i, m in enumerate(SMOKE_MODELS)]
+        seeds = [200 + i for i in range(len(samples))]
+        fits = em._em_fit_groups(np.stack(samples), (2, 3, 4), EmConfig(), seeds)
+        for m, fs in fits.items():
+            for sample, seed, fit in zip(samples, seeds, fs, strict=True):
+                assert_same_fit(fit, em_fit(sample, m, EmConfig(seed=seed)))
+        for sample, seed, sel in zip(samples, seeds, select_reference_mixtures(samples, seeds)):
+            assert sel.rejected[5] == "sample too small for M=5" and set(sel.aic_table) == {2, 3, 4}
+            alone = select_reference_mixture(sample, cfg=EmConfig(seed=seed))
+            assert (sel.aic_table, sel.rejected, sel.convergence) == (alone.aic_table, alone.rejected, alone.convergence)
+
+    def test_loop_takes_the_candidates_that_fit_its_cells(self, monkeypatch):
+        """Rows x n beyond ``_LOCKSTEP_CELLS`` split the candidates into loops; every fit is unchanged."""
+        samples = np.stack([get_model(m).sample(100, make_rng(7, i)) for i, m in enumerate(SMOKE_MODELS)])
+        seeds, cfg = range(6), EmConfig(max_iter=30)
+        together = em._em_fit_groups(samples, (2, 3, 4, 5), cfg, seeds)
+        loops = []
+        real = em._run_em_restarts
+
+        def spy(x, mus0s, cfg):
+            loops.append([m0.shape[1] for m0 in mus0s])
+            return real(x, mus0s, cfg)
+
+        monkeypatch.setattr(em, "_run_em_restarts", spy)
+        monkeypatch.setattr(em, "_LOCKSTEP_CELLS", 2 * samples.size * cfg.n_restarts + 1)
+        split = em._em_fit_groups(samples, (2, 3, 4, 5), cfg, seeds)
+        assert loops == [[2, 3], [4, 5]]
+        for m in (2, 3, 4, 5):
+            for a, b in zip(together[m], split[m], strict=True):
+                assert_same_fit(a, b)
 
     @pytest.mark.parametrize("n", [20, 100])
     def test_selection_alone_equals_selection_in_chunk(self, n):

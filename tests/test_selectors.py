@@ -330,6 +330,38 @@ class TestLcv:
         for nu, value in seen:
             assert value == pytest.approx(lcv_objective(sample, nu), rel=1e-12)
 
+    @pytest.mark.parametrize("case", ["M2-100", "M16-2000", "outliers"])
+    def test_probe_rows_match_rows_one_nu_at_a_time(self, monkeypatch, case):
+        """The probes' coefficient rows come from one call, and give every bit that one-nu rows give.
+
+        The outliers sample takes direct rows at its largest probes.
+        """
+        if case == "outliers":
+            outliers = np.pi + np.linspace(-2.0, 2.0, 12)
+            sample = np.concatenate([VonMises(mu=0.0, kappa=50.0).sample(1988, make_rng(8)), outliers])
+        else:
+            model, n = case.split("-")
+            sample = lcv_sample((model, int(n)))
+        real = selectors._kernel_coefficients
+        sizes = []
+
+        def spy(nus, orders):
+            sizes.append(nus.size)
+            return real(nus, orders)
+
+        monkeypatch.setattr(selectors, "_kernel_coefficients", spy)
+        batched = lcv(sample)
+        domain = NuSearchDomain.for_sample_size(sample.size)
+        assert sizes[0] == domain.n_probes and set(sizes[1:]) == {1}
+        assert (case == "outliers") == (batched.diagnostics["direct_rows"] > 0)
+
+        def one_at_a_time(nus, orders):
+            return np.stack([real(np.array([nu]), orders)[0] for nu in nus])
+
+        monkeypatch.setattr(selectors, "_kernel_coefficients", one_at_a_time)
+        alone = lcv(sample)
+        assert (batched.nu, batched.objective, batched.diagnostics) == (alone.nu, alone.objective, alone.diagnostics)
+
     def test_direct_objective_at_large_nu(self):
         # Twins 3e-8 to 6e-7 apart: at nu = 1e5 each leave-one-out sum is
         # the twin's kernel value exp(-nu d^2 / 2), nu d^2 / 2 from 4.5e-11
