@@ -11,12 +11,15 @@ responsibility. The M-step needs only those sums, so no (restarts, M, n)
 array is formed and memory does not grow with n. The restarts of one fit
 advance in lockstep (``_run_em_restarts``), so one iteration is a fixed,
 small number of numpy calls on the restarts' parameters and one block.
-``select_reference_mixtures`` runs that lockstep over several samples of
-one size and every candidate M at once, with samples x restarts rows per
-M, each row sweeping its own sample. The von Mises weights, the M-step
-and the stop test take every M's rows in one call each; each M keeps its
-own sweep kernels and block length, so every row acts alone, and a
-sample's fit is bit for bit the same alone or in such a chunk.
+AIC selection has one candidate rule: ``select_reference_mixture`` and
+``select_reference_mixtures`` fit each M of ``DEFAULT_CANDIDATE_MS`` with
+n >= 3M and choose by ``_choose``. ``select_reference_mixtures`` runs the
+lockstep over several samples of one size and every candidate M at once,
+with samples x restarts rows per M, each row sweeping its own sample.
+The von Mises weights, the M-step and the stop test take every M's rows
+in one call each; each M keeps its own sweep kernels and block length,
+so every row acts alone, and a sample's fit is bit for bit the same
+alone or in such a chunk.
 Initialization is a seeded farthest-point sweep over the data, all
 restarts at once, so every fit is reproducible from an integer seed.
 """
@@ -24,7 +27,6 @@ restarts at once, so every fit is reproducible from an integer seed.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -127,7 +129,7 @@ def em_fit(sample, M: int, cfg: EmConfig | None = None) -> MixtureFit:
         ll = log_likelihood(arr, mix)
         return _finalize(mix, ll, converged=True, n_iter=0, trace=(ll,), n=n)
 
-    return _em_fits(arr[None, :], M, cfg, (cfg.seed,))[0]
+    return _em_fit_groups(arr[None, :], (M,), cfg, (cfg.seed,))[M][0]
 
 
 @dataclass(frozen=True)
@@ -148,27 +150,20 @@ class MixtureSelection:
     convergence: dict[int, tuple[int, bool]] = field(default_factory=dict)
 
 
-def select_reference_mixture(
-    sample,
-    candidate_Ms=DEFAULT_CANDIDATE_MS,
-    cfg: EmConfig | None = None,
-) -> MixtureSelection:
-    """Fit each candidate M and keep the minimum-AIC valid fit.
+def select_reference_mixture(sample, cfg: EmConfig | None = None) -> MixtureSelection:
+    """Fit each M of ``DEFAULT_CANDIDATE_MS`` that the sample allows and keep the minimum-AIC valid fit.
 
-    Candidates are dropped when the sample is too small or the EM fit is
-    degenerate. A valid fit's curvature is finite: |c_m| <= 1 and
-    m < K <= 2,799 bound it by sum m^4, about 3.5e16. A non-integer M raises TypeError.
+    An M needs n >= 3M observations; a larger one, or a degenerate EM fit,
+    is rejected. A valid fit's curvature is finite: |c_m| <= 1 and
+    m < K <= 2,799 bound it by sum m^4, about 3.5e16.
     """
     arr = _as_sample(sample)
     cfg = cfg or EmConfig()
-    candidates = sorted(set(operator.index(m) for m in candidate_Ms))
-    if not candidates:
-        raise ValueError("candidate_Ms must be non-empty")
-    return _choose(candidates, {m: em_fit(arr, m, cfg) for m in candidates if arr.size >= 3 * m})
+    return _choose({m: em_fit(arr, m, cfg) for m in DEFAULT_CANDIDATE_MS if arr.size >= 3 * m})
 
 
 def select_reference_mixtures(samples, seeds, cfg: EmConfig | None = None) -> list[MixtureSelection]:
-    """:func:`select_reference_mixture` of each of several samples of one size, over the default candidates.
+    """:func:`select_reference_mixture` of each of several samples of one size.
 
     Sample i is fitted with EM seed ``seeds[i]`` in place of ``cfg.seed``.
     Every candidate M is fitted for every sample in one lockstep loop
@@ -181,22 +176,23 @@ def select_reference_mixtures(samples, seeds, cfg: EmConfig | None = None) -> li
     cfg = cfg or EmConfig()
     n = arrs.shape[1]
     fits = _em_fit_groups(arrs, [m for m in DEFAULT_CANDIDATE_MS if n >= 3 * m], cfg, seeds)
-    return [_choose(DEFAULT_CANDIDATE_MS, {m: f[i] for m, f in fits.items()}) for i in range(len(arrs))]
+    return [_choose({m: f[i] for m, f in fits.items()}) for i in range(len(arrs))]
 
 
 # -- internals -------------------------------------------------------------
 
 
-def _choose(candidates, fits: dict[int, MixtureFit]) -> MixtureSelection:
+def _choose(fits: dict[int, MixtureFit]) -> MixtureSelection:
     """The minimum-AIC valid fit among ``fits``, and its curvature.
 
-    A candidate M without a fit was too large for the sample.
+    A candidate M of ``DEFAULT_CANDIDATE_MS`` without a fit was too large
+    for the sample.
     """
     aic_table: dict[int, float] = {}
     rejected: dict[int, str] = {}
     convergence: dict[int, tuple[int, bool]] = {}
     eligible: list[MixtureFit] = []
-    for m in candidates:
+    for m in DEFAULT_CANDIDATE_MS:
         fit = fits.get(m)
         if fit is None:
             rejected[m] = f"sample too small for M={m}"
@@ -214,25 +210,19 @@ def _choose(candidates, fits: dict[int, MixtureFit]) -> MixtureSelection:
     return MixtureSelection(fit, curvature_integral(fit.mixture), aic_table, rejected, convergence)
 
 
-def _em_fits(arrs: np.ndarray, M: int, cfg: EmConfig, seeds) -> list[MixtureFit]:
-    """:func:`em_fit` of each row of the (samples, n) ``arrs`` for M >= 2, row i with EM seed ``seeds[i]``."""
-    return _em_fit_groups(arrs, (M,), cfg, seeds)[M]
-
-
 def _em_fit_groups(arrs: np.ndarray, Ms, cfg: EmConfig, seeds) -> dict[int, list[MixtureFit]]:
-    """:func:`_em_fits` for each M >= 2 of ``Ms``, as many M in one lockstep as ``_LOCKSTEP_CELLS`` allows.
+    """:func:`em_fit` of each (samples, n) ``arrs`` row for each M >= 2 of ``Ms``, row i with EM seed ``seeds[i]``.
 
-    Each of several samples' running rows holds its own gathered unit
-    vectors, so one loop takes as many M as keep their rows x n within
-    ``_LOCKSTEP_CELLS``, and at least one. A single sample's unit vectors
-    are passed on as one (3, n) array, never gathered, and all its M run
-    in one loop.
+    One lockstep loop takes as many M as keep all their rows x n within
+    ``_LOCKSTEP_CELLS``, and at least one. Each of several samples' running
+    rows holds its own gathered unit vectors; a single sample's are passed
+    on as one (3, n) array, never gathered.
     """
     # The centres first: their (restarts, n) distance arrays are freed before the unit vectors exist.
     mus0 = [np.concatenate([_initial_centers(arr, m, [make_rng(seed, m, r) for r in range(cfg.n_restarts)])
                             for arr, seed in zip(arrs, seeds, strict=True)]) for m in Ms]
     x = _unit_vectors(arrs[0]) if len(arrs) == 1 else np.stack([_unit_vectors(arr) for arr in arrs])
-    size = len(Ms) if len(arrs) == 1 else max(1, _LOCKSTEP_CELLS // (arrs.size * cfg.n_restarts))
+    size = max(1, _LOCKSTEP_CELLS // (arrs.size * cfg.n_restarts))
     fits = {}
     for lo in range(0, len(Ms), size):
         fits.update(zip(Ms[lo : lo + size], _run_em_restarts(x, mus0[lo : lo + size], cfg)))

@@ -14,10 +14,10 @@ table is the powers of exp(i Theta) or exp(i B Theta), one complex product
 per row, so both cost 4 n cos/sin calls and (B + Q) n complex products
 instead of 2 K n trigonometric evaluations. The error still grows like
 pi m 1e-16, now from rounding B Theta rather than m Theta, plus a few
-1e-16 per power. ``_table_pieces`` is the one loop that cuts samples into
-cache-sized pieces and builds their tables, short samples several per
-pass, for real matrix products of a piece's two tables. ``_sample_moments``
-sums them into phi_m of one sample or of many, from which ``kde_grid``
+1e-16 per power. ``_table_pieces`` cuts samples into cache-sized pieces
+and builds their tables, short samples several per pass, for real matrix
+products of a piece's two tables. ``_sample_moments`` sums them into
+phi_m of one sample or of many, from which ``kde_grid``
 gets the density grid by one inverse FFT of rho phi and
 ``oracle_mise_curve`` the oracle's ISE curve for a whole set of
 replicates, as two (replicates x K) by (K x nus) products of a quadratic
@@ -27,10 +27,11 @@ G-point grid. Above it ``kde_grid`` sums kernels directly, and
 and ``ise``, so that ``kde_grid`` is the one rule where orders alias.
 Samples are wrapped where they enter (``KdeFit``, ``oracle_mise_curve``,
 ``selectors.lcv``); the table functions take wrapped angles.
-``_cosine_sums`` keeps a sample's pieces for the sums behind
-``selectors.lcv``'s estimator at its own sample points: one more real
-product of a low table per nu, in 2 (B + Q) n floats rather than a K x n
-table or an n x n kernel matrix.
+``_cosine_sums`` builds and keeps one sample's two whole tables for the
+sums behind ``selectors.lcv``'s estimator at its own sample points: one
+more real product of the low table per nu, over the same step-sized
+column spans, in 2 (B + Q) n floats rather than a K x n table or an
+n x n kernel matrix.
 All keep the K orders ``bessel._order_count`` retains; rho_m and its
 truncation belong to ``bessel``. ``kde_evaluate`` and the grid cells the
 spectrum cannot resolve to 1e-12 relative stay with the direct kernel sums.
@@ -308,7 +309,7 @@ def _sample_moments(arrays, orders: int) -> np.ndarray:
     """
     base, groups, _ = _table_layout(orders)
     products = np.zeros((len(arrays), 2 * groups, 2 * base))
-    for i, _, high, low in _table_pieces(arrays, orders):
+    for i, high, low in _table_pieces(arrays, orders):
         products[i] += high @ low.T
     cos_sums, sin_sums = _angle_addition(products)
     out = np.empty((len(arrays), groups, base), dtype=complex)
@@ -319,13 +320,13 @@ def _sample_moments(arrays, orders: int) -> np.ndarray:
 
 
 def _table_pieces(arrays, orders: int):
-    """Yield (i, span, high, low): a piece of sample i, its slice of the angles and its tables.
+    """Yield (i, high, low): the tables of a piece of sample i.
 
-    The samples' angles, already wrapped, are concatenated (``span``
-    indexes them) and cut into pieces of at most ``_table_layout``'s step
-    of one sample's observations. Consecutive pieces share a pass of
-    ``_trig_table`` while they add up to at most a step, so short samples
-    go through the tables several at a time, a long one piece by piece.
+    The samples' angles, already wrapped, are concatenated and cut into
+    pieces of at most ``_table_layout``'s step of one sample's
+    observations. Consecutive pieces share a pass of ``_trig_table`` while
+    they add up to at most a step, so short samples go through the tables
+    several at a time, a long one piece by piece.
     """
     bounds = [0, *itertools.accumulate(arr.size for arr in arrays)]
     theta = np.concatenate(arrays) if arrays else np.empty(0)
@@ -344,7 +345,7 @@ def _table_pieces(arrays, orders: int):
         block = theta[lo : pieces[last - 1][2]]
         high, low = _trig_table(block, groups, base), _trig_table(block, base, 1)
         for i, a, b in pieces[first:last]:
-            yield i, slice(a, b), high[:, a - lo : b - lo], low[:, a - lo : b - lo]
+            yield i, high[:, a - lo : b - lo], low[:, a - lo : b - lo]
         first = last
 
 
@@ -355,14 +356,16 @@ def _cosine_sums(arr: np.ndarray, orders: int):
     the sample's sums of cos and sin(m Theta). With C = coef a, D = coef b
     as Q x B matrices (m = g B + j, zero from K on), angle addition gives
     S_i = sum_g cos(g B Theta_i) U_gi + sin(g B Theta_i) V_gi with
-    [U; V] = [[C, D], [D, -C]] [cos; sin](j Theta): per coef, one real
-    product with the low table (4 K n multiply-adds) of each of the
-    sample's pieces (``_table_pieces``), kept in 2 (B + Q) n floats. The
-    sample ``arr`` is already wrapped.
+    [U; V] = [[C, D], [D, -C]] [cos; sin](j Theta). The sample's two tables
+    are built once, one ``_trig_table`` call each, and kept in
+    2 (B + Q) n floats; a_m, b_m and, per coef, S are real products over
+    ``_table_layout``'s step-sized column spans of them (4 K n
+    multiply-adds per coef). The sample ``arr`` is already wrapped.
     """
-    base, groups, _ = _table_layout(orders)
-    pieces = list(_table_pieces([arr], orders))
-    a, b = _angle_addition(sum(high @ low.T for _, _, high, low in pieces))
+    base, groups, step = _table_layout(orders)
+    high, low = _trig_table(arr, groups, base), _trig_table(arr, base, 1)
+    spans = [slice(lo, lo + step) for lo in range(0, arr.size, step)]
+    a, b = _angle_addition(sum(high[:, span] @ low[:, span].T for span in spans))
     # pattern[h, g, l, j] is [[a, b], [b, -a]], so pattern * coef is [[C, D], [D, -C]].
     pattern = np.stack([np.stack([a, b], axis=1), np.stack([b, -a], axis=1)])
     padded = np.zeros(groups * base)
@@ -371,9 +374,9 @@ def _cosine_sums(arr: np.ndarray, orders: int):
         padded[:orders] = coef
         w = (pattern * padded.reshape(groups, 1, base)).reshape(2 * groups, 2 * base)
         out = np.empty(arr.size)
-        for _, span, high, low in pieces:
-            uv = w @ low
-            uv *= high
+        for span in spans:
+            uv = w @ low[:, span]
+            uv *= high[:, span]
             out[span] = uv.sum(axis=0)
         return out
 

@@ -5,13 +5,14 @@ Three data-driven selectors, which ``simulate.select`` dispatches by name:
 * ``rule_of_thumb`` - closed-form bandwidth from a single fitted von Mises.
 * ``plug_in``       - AIC-sized von Mises mixture reference, its curvature
                       integral plugged into the asymptotic MISE, minimized
-                      numerically. Falls back to the rule of thumb when no
-                      valid reference mixture exists. ``plug_in_chunk`` gives
-                      the same result for each of several equal-size
-                      samples, their EM run in one lockstep.
+                      over ``NuSearchDomain.for_sample_size(n)``. Falls
+                      back to the rule of thumb when no valid reference
+                      mixture exists. ``plug_in_chunk`` gives the same
+                      result for each of several equal-size samples, their
+                      EM run in one lockstep.
 * ``lcv``           - maximizes the leave-one-out log-likelihood, with the
-                      leave-one-out sums taken from its pieces of ``kde``'s
-                      two trigonometric tables (``kde._cosine_sums``): O((B + Q) n)
+                      leave-one-out sums taken from the sample's two
+                      trigonometric tables (``kde._cosine_sums``): O((B + Q) n)
                       memory, B + Q about 2 sqrt(K), and O(K n) time per nu,
                       not O(n^2). Its guard rows use ``kde._kernel_sums``.
 
@@ -191,20 +192,17 @@ def rule_of_thumb(sample) -> BandwidthResult:
     )
 
 
-def plug_in(
-    sample,
-    cfg: EmConfig | None = None,
-    domain: NuSearchDomain | None = None,
-) -> BandwidthResult:
+def plug_in(sample, cfg: EmConfig | None = None) -> BandwidthResult:
     """Plug-in bandwidth: mixture reference, curvature integral, AMISE minimum.
 
+    The AMISE is minimized over ``NuSearchDomain.for_sample_size(n)``.
     When every candidate reference mixture fails (a degenerate EM fit, or
     too few observations) the rule-of-thumb bandwidth is returned with the
     fallback flag set. On both paths ``diagnostics["em"]`` maps each
     fitted candidate M to its EM ``(n_iter, converged)``.
     """
     arr = _as_sample(sample)
-    return _plug_in_result(arr, select_reference_mixture(arr, cfg=cfg or EmConfig()), domain)
+    return _plug_in_result(arr, select_reference_mixture(arr, cfg=cfg or EmConfig()))
 
 
 def plug_in_chunk(samples, seeds, cfg: EmConfig) -> list[BandwidthResult]:
@@ -220,9 +218,7 @@ def plug_in_chunk(samples, seeds, cfg: EmConfig) -> list[BandwidthResult]:
     return [_plug_in_result(arr, selection) for arr, selection in zip(arrs, selections)]
 
 
-def _plug_in_result(
-    arr: np.ndarray, selection: MixtureSelection, domain: NuSearchDomain | None = None
-) -> BandwidthResult:
+def _plug_in_result(arr: np.ndarray, selection: MixtureSelection) -> BandwidthResult:
     """PI's bandwidth from the sample's reference-mixture selection: RT fallback or AMISE minimum."""
     n = arr.size
     if selection.best is None:
@@ -241,8 +237,7 @@ def _plug_in_result(
         )
 
     curvature = selection.best_curvature
-    domain = domain or NuSearchDomain.for_sample_size(n)
-    nu, obj, trace = minimize_on_domain(lambda v: amise(v, n, curvature), domain)
+    nu, obj, trace = minimize_on_domain(lambda v: amise(v, n, curvature), NuSearchDomain.for_sample_size(n))
     return BandwidthResult(
         nu=nu,
         selector=PI,
@@ -272,8 +267,8 @@ def lcv(sample, domain: NuSearchDomain | None = None) -> BandwidthResult:
     exp(nu cos x) = I_0(nu) (1 + 2 sum_m rho_m(nu) cos(m x)) gives each
     row's leave-one-out sum as i0e(nu) S_i - 1, where
     S_i = sum_m rho~_m sum_j cos(m (Theta_i - Theta_j)) and
-    rho~ = (1, 2 rho_1, 2 rho_2, ...). ``kde._cosine_sums`` keeps its
-    pieces of the two trigonometric tables and gives S for each
+    rho~ = (1, 2 rho_1, 2 rho_2, ...). ``kde._cosine_sums`` keeps the
+    sample's two trigonometric tables and gives S for each
     nu in O(K n) time and 2 (B + Q) n floats, B + Q about 2 sqrt(K). The
     probes' coefficient rows come from one ``_kernel_coefficients`` call,
     whose rows are bit for bit those of one-nu calls; each golden-section

@@ -55,10 +55,9 @@ DEFAULT_K_SIGMA = 3.0
 DEFAULT_ABS_SLACK = 0.10
 
 # A study chunk holds at most this many samples of one size, and at most
-# _CHUNK_ROW_CELLS EM rows x n for each candidate M (see _chunk_size).
+# em._LOCKSTEP_CELLS EM rows x n for each candidate M (see _chunk_size).
 # Neither depends on the worker count, so neither do the results.
 _CHUNK_SAMPLES = 16
-_CHUNK_ROW_CELLS = _LOCKSTEP_CELLS
 
 
 @dataclass(frozen=True)
@@ -242,7 +241,7 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> SimulationReport:
 
 
 def _chunk_size(n: int, n_restarts: int) -> int:
-    """Samples of size n per study chunk: at most ``_CHUNK_SAMPLES``, and rows x n within ``_CHUNK_ROW_CELLS``.
+    """Samples of size n per study chunk: at most ``_CHUNK_SAMPLES``, and rows x n within ``em._LOCKSTEP_CELLS``.
 
     A chunk's EM advances samples x ``n_restarts`` rows for each candidate
     M, and memory proportional to rows x n (the gathered unit vectors and
@@ -250,7 +249,7 @@ def _chunk_size(n: int, n_restarts: int) -> int:
     takes the candidates together only while all their rows x n stay
     within the same cap (``em._em_fit_groups``).
     """
-    return max(1, min(_CHUNK_SAMPLES, _CHUNK_ROW_CELLS // (n_restarts * n)))
+    return max(1, min(_CHUNK_SAMPLES, _LOCKSTEP_CELLS // (n_restarts * n)))
 
 
 def select(name: str, sample, em: EmConfig) -> BandwidthResult:

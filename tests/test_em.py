@@ -256,7 +256,7 @@ class TestRestarts:
             return real(w, xb, d, s)
 
         monkeypatch.setattr(em, "_shift_low_columns", spy)
-        chunk = em._em_fits(np.stack(samples), M, cfg, seeds)
+        chunk = em._em_fit_groups(np.stack(samples), (M,), cfg, seeds)[M]
         assert shifted and max(shifted) == 4 * cfg.n_restarts  # every sample's rows in the shifted sweep
         assert [f.converged for f in chunk] == [True, True, True, False]
         assert chunk[3].n_iter == cfg.max_iter
@@ -311,6 +311,20 @@ class TestRestarts:
             assert sel.rejected[5] == "sample too small for M=5" and set(sel.aic_table) == {2, 3, 4}
             alone = select_reference_mixture(sample, cfg=EmConfig(seed=seed))
             assert (sel.aic_table, sel.rejected, sel.convergence) == (alone.aic_table, alone.rejected, alone.convergence)
+
+    @pytest.mark.parametrize("n", [5, 12])
+    def test_one_sample_selection_equals_select_reference_mixture(self, n):
+        """A chunk of one sample selects as ``select_reference_mixture``; at n = 5 it has no candidate M."""
+        sample = get_model("M2").sample(n, make_rng(8, n))
+        (sel,) = select_reference_mixtures([sample], [21])
+        alone = select_reference_mixture(sample, cfg=EmConfig(seed=21))
+        assert (sel.aic_table, sel.rejected, sel.convergence) == (alone.aic_table, alone.rejected, alone.convergence)
+        assert sel.best_curvature == alone.best_curvature
+        if n == 5:
+            assert sel.best is None and not sel.aic_table and set(sel.rejected) == {2, 3, 4, 5}
+        else:
+            assert set(sel.aic_table) == {2, 3, 4}
+            assert_same_fit(sel.best, alone.best)
 
     def test_loop_takes_the_candidates_that_fit_its_cells(self, monkeypatch):
         """Rows x n beyond ``_LOCKSTEP_CELLS`` split the candidates into loops; every fit is unchanged."""
@@ -537,14 +551,14 @@ class TestMemory:
         # n) and its column sums and their logs (2): at most
         # rows (M + 8.6) n floats, within 1.25 rows (M + 6) n.
         cfg, M = EmConfig(max_iter=3), 5
-        n = simulate._CHUNK_ROW_CELLS // (simulate._CHUNK_SAMPLES * cfg.n_restarts)
+        n = em._LOCKSTEP_CELLS // (simulate._CHUNK_SAMPLES * cfg.n_restarts)
         samples = simulate._chunk_size(n, cfg.n_restarts)
         assert samples == simulate._CHUNK_SAMPLES and simulate._chunk_size(n + 1, cfg.n_restarts) < samples
         arrs = np.stack([get_model("M16").sample(n, make_rng(9, 16, i)) for i in range(samples)])
         rows = samples * cfg.n_restarts
         tracemalloc.start()
         try:
-            em._em_fits(arrs, M, cfg, range(samples))
+            em._em_fit_groups(arrs, (M,), cfg, range(samples))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

@@ -7,7 +7,7 @@ import pytest
 
 from circkde import simulate
 from circkde.catalogue import get_model, model_index
-from circkde.em import EmConfig
+from circkde.em import _LOCKSTEP_CELLS, EmConfig
 from circkde.rng import derive_seed, make_rng
 from circkde.selectors import LCV, ORACLE, PI, RT, BandwidthResult, lcv, plug_in, rule_of_thumb
 from circkde.simulate import (
@@ -72,7 +72,7 @@ class TestRunExperiment:
         # The study's six smoke samples of each size form one chunk.
         assert simulate._chunk_size(250, 5) >= len(simulate.SMOKE_MODELS)
         assert simulate._chunk_size(100, 5) == simulate._CHUNK_SAMPLES
-        n = simulate._CHUNK_ROW_CELLS // 5
+        n = _LOCKSTEP_CELLS // 5
         assert simulate._chunk_size(n, 5) == 1 and simulate._chunk_size(10 * n, 5) == 1
         assert simulate._chunk_size(n // 2, 5) == 2
 
