@@ -126,9 +126,8 @@ def build_parser() -> _Parser:
     p_sim.add_argument("--replicates", type=int, default=None)
     p_sim.add_argument("--selectors", default=",".join(study.selectors))
     p_sim.add_argument("--seed", type=int, default=study.base_seed)
-    p_sim.add_argument("--gridsize", type=_gridsize, default=study.gridsize)
     p_sim.add_argument("--output-dir", default=".")
-    p_sim.add_argument("--workers", type=int, default=1, help="parallel replicate workers")
+    p_sim.add_argument("--workers", type=int, default=1, help="worker processes over the study's chunks")
     p_sim.add_argument(
         "--reference",
         action="store_true",
@@ -234,12 +233,7 @@ def cmd_simulate(args) -> int:
     selectors = _parse_selectors(args.selectors, allowed=(RT, PI, LCV, ORACLE))
     try:
         cfg = ExperimentConfig(
-            models=models,
-            sample_sizes=sizes,
-            replicates=replicates,
-            selectors=selectors,
-            base_seed=args.seed,
-            gridsize=args.gridsize,
+            models=models, sample_sizes=sizes, replicates=replicates, selectors=selectors, base_seed=args.seed
         )
     except ValueError as exc:
         raise CliError(str(exc)) from None

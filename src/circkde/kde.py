@@ -17,14 +17,13 @@ pi m 1e-16, now from rounding B Theta rather than m Theta, plus a few
 1e-16 per power. ``_table_pieces`` cuts samples into cache-sized pieces
 and builds their tables, short samples several per pass, for real matrix
 products of a piece's two tables. ``_sample_moments`` sums them into
-phi_m of one sample or of many, from which ``kde_grid``
-gets the density grid by one inverse FFT of rho phi and
-``oracle_mise_curve`` the oracle's ISE curve for a whole set of
-replicates, as two (replicates x K) by (K x nus) products of a quadratic
-form in rho. Both need 2 K <= G, so that no two orders share a bin of the
-G-point grid. Above it ``kde_grid`` sums kernels directly, and
-``oracle_mise_curve`` takes each (replicate, nu) entry from ``kde_grid``
-and ``ise``, so that ``kde_grid`` is the one rule where orders alias.
+phi_m of one sample or of many, from which ``kde_grid`` gets the density
+grid by one inverse FFT of rho phi and ``oracle_mise_curve`` the oracle's
+ISE curve for a whole set of replicates, as two (replicates x K) by
+(K x nus) products of a quadratic form in rho. Both need 2 K <= G, so that
+no two orders share a bin of the G-point grid. Above it ``kde_grid`` sums
+kernels directly and ``oracle_mise_curve`` raises; the study sizes its
+truth grids so that it never does.
 Samples are wrapped where they enter (``KdeFit``, ``oracle_mise_curve``,
 ``selectors.lcv``); the table functions take wrapped angles.
 ``_cosine_sums`` builds and keeps one sample's two whole tables for the
@@ -252,13 +251,14 @@ def oracle_mise_curve(samples, truth: DensityGrid, nus) -> np.ndarray:
 
     Entry (i, j) equals ``ise(kde_grid(KdeFit(samples[i], nus[j]), G),
     truth)`` up to rounding, with G = ``truth.gridsize`` and K =
-    ``bessel._order_count(max nu)``. When 2 K <= G (always in the study),
-    the G-point DFT of the estimator's grid holds order k < K alone in bin
-    k, F_k = rho_k phi_k, as on ``kde_grid``'s spectral side, and by
-    Parseval the grid ISE is (1/2 pi) sum_k w_k |F_k - gamma_k|^2 over
-    k = 0..G/2, with w = (1, 2, ..., 2, 1) and gamma the truth's scaled
-    DFT: a quadratic form in rho. rho is computed once for all samples, and
-    the moments of all samples in shared table passes (``_sample_moments``).
+    ``bessel._order_count(max nu)``; it raises unless 2 K <= G, as in the
+    study (``simulate._truth_gridsize``). The G-point DFT of the estimator's
+    grid then holds order k < K alone in bin k, F_k = rho_k phi_k, as on
+    ``kde_grid``'s spectral side, and by Parseval the grid ISE is
+    (1/2 pi) sum_k w_k |F_k - gamma_k|^2 over k = 0..G/2, with
+    w = (1, 2, ..., 2, 1) and gamma the truth's scaled DFT: a quadratic
+    form in rho. rho is computed once for all samples, and the moments of
+    all samples in shared table passes (``_sample_moments``).
     Split around the truth, with e_k = phi_k - gamma_k, each term
     w_k |rho_k phi_k - gamma_k|^2 is
     w_k (rho_k^2 |e_k|^2 - 2 rho_k (1 - rho_k) Re(e_k conj gamma_k)
@@ -271,21 +271,16 @@ def oracle_mise_curve(samples, truth: DensityGrid, nus) -> np.ndarray:
     w Re(phi conj gamma)), terms of the size of the integral of f^2 cancel
     and cost up to 8e-13 relative on the study's cells. Order 0 adds
     exactly w_0 |1 - gamma_0|^2, since rho_0 = phi_0 = 1.
-
-    When 2 K > G the orders alias onto shared bins, and each entry is the
-    study's own ``ise(kde_grid(...), truth)``, one grid per (replicate,
-    nu): about 4 s on 2 cores for 200 replicates of 500 and 50 nu at G = 128.
     """
     nus = np.asarray(nus, dtype=float)
     if nus.ndim != 1 or nus.size == 0:
         raise ValueError("nus must be a non-empty one-dimensional array")
     _check_concentration(nus, "nu")
-    arrays = [wrap_angle(_as_sample(s)) for s in samples]
     g = truth.gridsize
     orders = _order_count(float(nus.max()))
     if 2 * orders > g:
-        curve = [ise(kde_grid(KdeFit(arr, nu), g), truth) for arr in arrays for nu in nus]
-        return np.array(curve).reshape(len(arrays), nus.size)
+        raise ValueError(f"K = {orders} orders at nu = {nus.max():g} alias on a truth grid of G = {g} < 2 K points")
+    arrays = [wrap_angle(_as_sample(s)) for s in samples]
     rho = _kernel_coefficients(nus, orders)
     phi = _sample_moments(arrays, orders)
     gamma = np.fft.rfft(truth.values) * (TWO_PI / g)

@@ -12,6 +12,8 @@ the regression gate.
 
 from __future__ import annotations
 
+import concurrent.futures
+import functools
 import hashlib
 import json
 import math
@@ -23,10 +25,10 @@ from importlib import resources
 import numpy as np
 
 from . import catalogue
+from .bessel import _order_count
 from .em import EmConfig
 from .em import _LOCKSTEP_CELLS
 from .kde import DEFAULT_GRIDSIZE, KdeFit, density_grid_of, ise, kde_grid, oracle_mise_curve
-from .kde import _check_gridsize
 from .models import ModelSpec
 from .rng import derive_seed, make_rng
 from .selectors import (
@@ -68,7 +70,7 @@ class ExperimentConfig:
     ``n_restarts`` take effect: every replicate replaces ``em.seed`` with
     ``derive_seed(base_seed, model index, n, replicate, 97)``, so that its
     fits do not depend on the other replicates. ``em.seed`` still enters
-    ``config_hash``.
+    ``config_hash``. The truth grid is no setting: :func:`_truth_gridsize`.
     """
 
     models: tuple[str, ...] = SMOKE_MODELS
@@ -76,7 +78,6 @@ class ExperimentConfig:
     replicates: int = DEFAULT_REPLICATES
     selectors: tuple[str, ...] = (RT, PI, LCV)
     base_seed: int = 20260810
-    gridsize: int = DEFAULT_GRIDSIZE
     em: EmConfig = field(default_factory=EmConfig)
 
     def __post_init__(self):
@@ -84,7 +85,6 @@ class ExperimentConfig:
             raise ValueError(f"replicates must be >= 1 and an integer, got {self.replicates!r}")
         if not isinstance(self.base_seed, (int, np.integer)):
             raise ValueError(f"base_seed must be an integer, got {self.base_seed!r}")
-        _check_gridsize(self.gridsize)
         non_integer = [n for n in self.sample_sizes if not isinstance(n, (int, np.integer))]
         if non_integer:
             raise ValueError(f"sample sizes must be integers, got {non_integer}")
@@ -183,6 +183,13 @@ def default_oracle_grid(n: int) -> np.ndarray:
     return NuSearchDomain.for_sample_size(n).probes()
 
 
+@functools.cache
+def _truth_gridsize(n: int) -> int:
+    """The study's truth grid at n: 1,024 points, or more once 2 K > 1,024 at the top nu of n's ORACLE grid."""
+    orders = _order_count(float(default_oracle_grid(n)[-1]))
+    return max(DEFAULT_GRIDSIZE, 1 << (2 * orders - 1).bit_length())
+
+
 def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> SimulationReport:
     """Run the full protocol for one configuration.
 
@@ -191,8 +198,9 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> SimulationReport:
     :func:`_chunk_size` samples. A chunk fits PI's reference mixtures for
     every candidate M in one EM lockstep loop (``selectors.plug_in_chunk``),
     each M with its own sweep kernels and block length; RT and LCV, and
-    every KDE grid and ISE, run per sample. With ``workers`` > 1
-    a process pool maps the chunks. Deterministic for a fixed config
+    every KDE grid and ISE, run per sample, on the ORACLE's truth grid
+    (:func:`_truth_gridsize`). Up to ``workers`` processes, one per chunk,
+    map the chunks. Deterministic for a fixed config
     regardless of ``workers``: replicate streams are derived from
     (base_seed, model, n, replicate), the chunks do not depend on
     ``workers``, a sample's results do not depend on its chunk, and
@@ -200,7 +208,8 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> SimulationReport:
     """
     t0 = time.perf_counter()
     models = {m: catalogue.get_model(m) for m in cfg.models}
-    truths = {m: density_grid_of(models[m], cfg.gridsize) for m in cfg.models}
+    grid = functools.cache(lambda m, g: density_grid_of(models[m], g))  # one per model and grid size
+    truths = {(m, n): grid(m, _truth_gridsize(n)) for m in cfg.models for n in cfg.sample_sizes}
     data_driven = tuple(s for s in cfg.selectors if s != ORACLE)
     tasks = []
     if data_driven:
@@ -209,10 +218,9 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> SimulationReport:
             size = _chunk_size(n, cfg.em.n_restarts)
             for lo in range(0, len(keys), size):
                 chunk = keys[lo : lo + size]
-                tasks.append((n, chunk, cfg.base_seed, {m: truths[m] for m, _ in chunk}, data_driven, cfg.em))
+                tasks.append((n, chunk, cfg.base_seed, {m: truths[m, n] for m, _ in chunk}, data_driven, cfg.em))
+    workers = min(workers, len(tasks))  # a forking pool starts all its processes at the first submit
     if workers > 1:
-        import concurrent.futures
-
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_chunk_outcomes, tasks))
     else:
@@ -230,7 +238,7 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> SimulationReport:
                 cells.append(_aggregate_cell(model_id, n, selector, reps))
             if ORACLE in cfg.selectors:
                 samples = [_replicate_sample(cfg.base_seed, models[model_id], n, rep) for rep in range(cfg.replicates)]
-                cells.append(_oracle_cell(model_id, n, samples, truths[model_id]))
+                cells.append(_oracle_cell(model_id, n, samples, truths[model_id, n]))
     meta = {
         "base_seed": cfg.base_seed,
         "config": asdict(cfg),

@@ -368,10 +368,17 @@ class TestUsageErrors:
             run_cli("fit", str(f), "--gridsize", "1000")
         assert exc.value.code == 1
 
-    @pytest.mark.parametrize("command", [("fit", "x.txt"), ("simulate",)])
+    @pytest.mark.parametrize("command", [("fit", "x.txt")])
     @pytest.mark.parametrize("gridsize", ["4", "12", "1e3"])
     def test_bad_gridsize_message(self, capsys, command, gridsize):
         with pytest.raises(SystemExit) as exc:
             run_cli(*command, "--gridsize", gridsize)
         assert exc.value.code == 1
         assert "--gridsize" in capsys.readouterr().err
+
+    def test_simulate_has_no_gridsize(self, capsys):
+        # The study sizes its own truth grid.
+        with pytest.raises(SystemExit) as exc:
+            run_cli("simulate", "--gridsize", "64")
+        assert exc.value.code == 1
+        assert "unrecognized arguments: --gridsize 64" in capsys.readouterr().err

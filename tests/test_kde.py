@@ -435,19 +435,26 @@ def direct_ise(sample, nu, truth):
 
 
 class TestMomentIse:
-    # At gridsize 8 and nu = 1e5 about 700 orders, of both signs, share every bin.
+    # nu = 1e5 keeps 2,799 orders, more than half of every gridsize here, and
+    # nu = 30 keeps 53, so at 8 and 64 those pairs raise (at 8 every pair does).
     @pytest.mark.parametrize("gridsize", [8, 64, 512, 1024])
     @pytest.mark.parametrize("mid", ["M1", "M2", "M7", "M16", "M20"])
     def test_matches_grid_ise(self, mid, gridsize):
         model = get_model(mid)
         truth = density_grid_of(model, gridsize)
         sample = model.sample(100, make_rng(8, int(mid[1:])))
-        expected = np.array([direct_ise(sample, nu, truth) for nu in MOMENT_NUS])
-        # all nu at once (orders sized by the largest) and each nu alone
-        together = oracle_mise_curve([sample], truth, np.array(MOMENT_NUS))[0]
-        alone = [oracle_mise_curve([sample], truth, np.array([nu]))[0, 0] for nu in MOMENT_NUS]
-        np.testing.assert_allclose(together, expected, rtol=1e-10, atol=0)
+        nus = [nu for nu in MOMENT_NUS if 2 * _order_count(nu) <= gridsize]
+        for nu in MOMENT_NUS:
+            if nu not in nus:
+                with pytest.raises(ValueError, match=f"G = {gridsize} "):
+                    oracle_mise_curve([sample], truth, np.array([nu]))
+        expected = np.array([direct_ise(sample, nu, truth) for nu in nus])
+        # each nu alone and all at once (orders sized by the largest)
+        alone = [oracle_mise_curve([sample], truth, np.array([nu]))[0, 0] for nu in nus]
         np.testing.assert_allclose(alone, expected, rtol=1e-10, atol=0)
+        if nus:
+            together = oracle_mise_curve([sample], truth, np.array(nus))[0]
+            np.testing.assert_allclose(together, expected, rtol=1e-10, atol=0)
 
     def test_zero_nu_against_uniform_truth(self, m2_sample):
         truth = density_grid_of(get_model("M1"), 1024)
@@ -455,16 +462,16 @@ class TestMomentIse:
         assert direct_ise(m2_sample, 0.0, truth) == 0.0
         assert abs(got) <= 1e-15
 
-    def test_aliased_rows_are_the_grid_ise(self, m2_sample):
-        # K = 179 at nu = 500 aliases at every gridsize here, so every entry, the
-        # small nu too, is the study's own grid ISE, bit for bit.
+    def test_aliased_orders_raise(self, m2_sample):
+        # K = 200 at nu = 500 aliases at every gridsize here, so the whole curve,
+        # the small nu too, is refused.
         nus = np.array([0.5, 30.0, 500.0])
-        samples = [m2_sample, m2_sample[:37]]
-        for g in (8, 64, 128):
+        assert _order_count(500.0) == 200
+        for g in (8, 64, 128, 256):
             truth = density_grid_of(get_model("M2"), g)
-            assert 2 * _order_count(nus.max()) > g
-            want = [[direct_ise(s, nu, truth) for nu in nus] for s in samples]
-            np.testing.assert_array_equal(oracle_mise_curve(samples, truth, nus), want)
+            with pytest.raises(ValueError, match=f"K = 200 orders at nu = 500 alias on a truth grid of G = {g} "):
+                oracle_mise_curve([m2_sample, m2_sample[:37]], truth, nus)
+        assert oracle_mise_curve([m2_sample], density_grid_of(get_model("M2"), 512), nus).shape == (1, 3)
 
     def test_truncation_floor(self):
         rho = _kernel_coefficients(np.array([0.5, 30.0]))
@@ -526,17 +533,6 @@ class TestOracleBlocks:
         monkeypatch.setattr(kmod, "_CHUNK_CELLS", 1000)
         assert kmod._table_layout(_order_count(5.0)) == (6, 5, 33)
         np.testing.assert_array_equal(oracle_mise_curve(samples, truth, nus), whole)
-
-    def test_aliased_rows_do_not_depend_on_the_batch(self):
-        # Each row must keep its bits whether its replicate comes alone or after others.
-        model = get_model("M7")
-        samples = [model.sample(100, make_rng(20260810, 7, 100, r)) for r in range(8)]
-        truth = density_grid_of(model, 64)
-        nus = np.geomspace(1.0, 2000.0, 9)
-        assert 2 * _order_count(nus.max()) > truth.gridsize
-        batch = oracle_mise_curve(samples, truth, nus)
-        for row, sample in zip(batch, samples):
-            np.testing.assert_array_equal(row, oracle_mise_curve([sample], truth, nus)[0])
 
     def test_moments_do_not_depend_on_the_batch(self):
         # Each sample is cut into the same products alone or among others

@@ -68,6 +68,67 @@ class TestRunExperiment:
             monkeypatch.setattr(simulate, "_CHUNK_SAMPLES", size)
             assert run(workers) == one
 
+    def test_pool_has_at_most_one_process_per_chunk(self, monkeypatch):
+        # Under the fork start method a pool starts all its processes at the first
+        # submit, so one wider than the chunk list starts idle ones. This stand-in
+        # records its size and maps in this process.
+        import concurrent.futures
+
+        pool_sizes = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                pool_sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+        two_chunks = ExperimentConfig(
+            models=("M2",), sample_sizes=(60, 100), replicates=2, selectors=(RT,), base_seed=3
+        )
+        one_chunk = dataclasses.replace(two_chunks, sample_sizes=(100,))
+        oracle_only = dataclasses.replace(two_chunks, selectors=(ORACLE,))
+        for cfg, want in ((two_chunks, [2]), (one_chunk, []), (oracle_only, [])):
+            serial = run_experiment(cfg).to_dict()
+            pool_sizes.clear()
+            pooled = run_experiment(cfg, workers=8).to_dict()
+            assert pool_sizes == want
+            for report in (serial, pooled):
+                report["metadata"].pop("wall_time_s")
+            assert pooled == serial
+
+    def test_truth_gridsize(self):
+        # The top of the ORACLE grid keeps K = 512 orders at n = 2,042,000 and
+        # 513 at n = 2,043,000, where 2 K first exceeds 1,024 points.
+        sizes = [simulate._truth_gridsize(n) for n in (500, 2_042_000, 2_043_000)]
+        assert sizes == [1024, 1024, 2048]
+
+    def test_cells_share_one_truth_grid_per_size(self, monkeypatch):
+        # One truth per model and grid size; every ISE at n, the ORACLE's too, against the one of n.
+        monkeypatch.setattr(simulate, "_truth_gridsize", {60: 2048, 100: 1024, 250: 1024}.get)
+        built, used = [], set()
+
+        def spy(name, record):
+            real = getattr(simulate, name)
+            monkeypatch.setattr(simulate, name, lambda *args: record(*args) or real(*args))
+
+        spy("density_grid_of", lambda model, g: built.append((model.id, g)))
+        spy("kde_grid", lambda fit, g: used.add((RT, fit.n, g)))
+        spy("oracle_mise_curve", lambda samples, truth, _: used.add((ORACLE, samples[0].size, truth.gridsize)))
+        cfg = ExperimentConfig(
+            models=("M2", "M7"), sample_sizes=(60, 100, 250), replicates=2, selectors=(RT, ORACLE)
+        )
+        run_experiment(cfg)
+        assert sorted(built) == [("M2", 1024), ("M2", 2048), ("M7", 1024), ("M7", 2048)]
+        assert used == {(s, n, g) for s in (RT, ORACLE) for n, g in ((60, 2048), (100, 1024), (250, 1024))}
+
     def test_chunk_size(self):
         # The study's six smoke samples of each size form one chunk.
         assert simulate._chunk_size(250, 5) >= len(simulate.SMOKE_MODELS)
@@ -152,9 +213,6 @@ class TestRunExperiment:
     @pytest.mark.parametrize(
         "change,message",
         [
-            ({"gridsize": 100}, "gridsize must be a power of two"),
-            ({"gridsize": 4}, "gridsize must be a power of two"),
-            ({"gridsize": 1024.0}, "gridsize must be a power of two"),
             ({"replicates": 2.5}, "replicates must be >= 1 and an integer"),
             ({"sample_sizes": (100.5,)}, "sample sizes must be integers"),
             ({"sample_sizes": (100, 250.0)}, "sample sizes must be integers"),
