@@ -68,7 +68,12 @@ class TestRunExperiment:
             monkeypatch.setattr(simulate, "_CHUNK_SAMPLES", size)
             assert run(workers) == one
 
-    def test_pool_has_at_most_one_process_per_chunk(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "change,pools",
+        [({}, [2]), ({"sample_sizes": (100,)}, []), ({"selectors": (ORACLE,)}, [])],
+        ids=["two-chunks", "one-chunk", "oracle-only"],
+    )
+    def test_pool_has_at_most_one_process_per_chunk(self, monkeypatch, change, pools):
         # Under the fork start method a pool starts all its processes at the first
         # submit, so one wider than the chunk list starts idle ones. This stand-in
         # records its size and maps in this process.
@@ -90,25 +95,22 @@ class TestRunExperiment:
                 return map(fn, tasks)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
-        two_chunks = ExperimentConfig(
-            models=("M2",), sample_sizes=(60, 100), replicates=2, selectors=(RT,), base_seed=3
+        cfg = dataclasses.replace(
+            ExperimentConfig(models=("M2",), sample_sizes=(60, 100), replicates=2, selectors=(RT,), base_seed=3),
+            **change,
         )
-        one_chunk = dataclasses.replace(two_chunks, sample_sizes=(100,))
-        oracle_only = dataclasses.replace(two_chunks, selectors=(ORACLE,))
-        for cfg, want in ((two_chunks, [2]), (one_chunk, []), (oracle_only, [])):
-            serial = run_experiment(cfg).to_dict()
-            pool_sizes.clear()
-            pooled = run_experiment(cfg, workers=8).to_dict()
-            assert pool_sizes == want
-            for report in (serial, pooled):
-                report["metadata"].pop("wall_time_s")
-            assert pooled == serial
+        serial = run_experiment(cfg).to_dict()
+        pooled = run_experiment(cfg, workers=8).to_dict()
+        assert pool_sizes == pools
+        for report in (serial, pooled):
+            report["metadata"].pop("wall_time_s")
+        assert pooled == serial
 
-    def test_truth_gridsize(self):
-        # The top of the ORACLE grid keeps K = 512 orders at n = 2,042,000 and
-        # 513 at n = 2,043,000, where 2 K first exceeds 1,024 points.
-        sizes = [simulate._truth_gridsize(n) for n in (500, 2_042_000, 2_043_000)]
-        assert sizes == [1024, 1024, 2048]
+    # The top of the ORACLE grid keeps K = 512 orders at n = 2,042,000 and
+    # 513 at n = 2,043,000, where 2 K first exceeds 1,024 points.
+    @pytest.mark.parametrize("n,gridsize", [(500, 1024), (2_042_000, 1024), (2_043_000, 2048)])
+    def test_truth_gridsize(self, n, gridsize):
+        assert simulate._truth_gridsize(n) == gridsize
 
     def test_cells_share_one_truth_grid_per_size(self, monkeypatch):
         # One truth per model and grid size; every ISE at n, the ORACLE's too, against the one of n.
