@@ -215,6 +215,9 @@ class TestRunExperiment:
     @pytest.mark.parametrize(
         "change,message",
         [
+            ({"models": ("M99",)}, "unknown model ids"),
+            ({"selectors": ("XX",)}, "unknown selectors"),
+            ({"sample_sizes": ("100",)}, "sample sizes must be integers"),
             ({"replicates": 2.5}, "replicates must be >= 1 and an integer"),
             ({"sample_sizes": (100.5,)}, "sample sizes must be integers"),
             ({"sample_sizes": (100, 250.0)}, "sample sizes must be integers"),
@@ -222,7 +225,8 @@ class TestRunExperiment:
         ],
     )
     def test_config_rejected_at_construction(self, change, message):
-        # Each of these was accepted, and run_experiment failed on it later.
+        # Each is rejected when the config is built; the last four were once
+        # accepted, and run_experiment failed on them later.
         with pytest.raises(ValueError, match=message):
             ExperimentConfig(**change)
 
