@@ -12,11 +12,15 @@ rule that truncates it (``_order_count``) and the range of kappa
 (``_check_concentration``); ``kde``, ``selectors`` and ``models`` share
 them. Backed by ``scipy.special``'s scaled ``ive``, ``i0e`` and ``i1e``:
 each row rho_m(nu) is a downward recurrence for I_m / I_{m-1} that one
-``ive`` pair seeds, and ``_order_count`` reads K off such rows. An
-independent power-series oracle and mpmath references live in the test suite.
+``ive`` pair seeds, and ``_order_count`` reads K off such rows. A fixed
+nu grid's rows (LCV's probes, the ORACLE's grid) are built once per
+process and kept read-only (``_grid_coefficients``). An independent
+power-series oracle and mpmath references live in the test suite.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 from scipy.special import i0e, i1e, ive
@@ -40,6 +44,10 @@ _RHO_FLOOR = 1e-17
 # from this many nu on, and in Python floats one nu at a time below it. The
 # two cost the same at 6-8 nu for 74-130 orders (measured on 2 cores).
 _BATCH_NUS = 8
+
+# nu grids whose rows _grid_coefficients keeps per process: the study uses
+# one grid per sample size.
+_GRIDS_KEPT = 32
 
 
 def bessel_i(r: int, x: float) -> float:
@@ -161,6 +169,26 @@ def _kernel_coefficients(nus: np.ndarray, orders: int | None = None) -> np.ndarr
     rho = np.empty((nus.size, orders))
     for row, nu in zip(rho, nus.tolist()):
         _float_row(nu, row)
+    return rho
+
+
+def _grid_coefficients(nus) -> np.ndarray:
+    """``_kernel_coefficients(nus)`` of a fixed nu grid, built once per process and read-only.
+
+    LCV's probes and the ORACLE's grid depend on n alone, so each study
+    size and ``circkde fit`` reuse one grid. The ``_GRIDS_KEPT`` most
+    recently used grids, keyed by their float values, keep their rows; K
+    is the rows' width. A grid of P nu costs P K floats: at most
+    50 x 2,799 (1.1 MB) for 50 probes, about 36 MB for the whole cache,
+    and about 50 KB at the study's sizes.
+    """
+    return _kept_rows(tuple(np.asarray(nus, dtype=float).tolist()))
+
+
+@functools.lru_cache(maxsize=_GRIDS_KEPT)
+def _kept_rows(nus: tuple[float, ...]) -> np.ndarray:
+    rho = _kernel_coefficients(np.array(nus))
+    rho.flags.writeable = False
     return rho
 
 

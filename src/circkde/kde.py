@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import i0e
 
-from .bessel import _check_concentration, _kernel_coefficients, _order_count
+from .bessel import _check_concentration, _grid_coefficients, _kernel_coefficients, _order_count
 from .models import TWO_PI, _as_sample, wrap_angle
 
 # Large enough for 1e-8 quadrature agreement on every density in the study.
@@ -257,8 +257,10 @@ def oracle_mise_curve(samples, truth: DensityGrid, nus) -> np.ndarray:
     ``kde_grid``'s spectral side, and by Parseval the grid ISE is
     (1/2 pi) sum_k w_k |F_k - gamma_k|^2 over k = 0..G/2, with
     w = (1, 2, ..., 2, 1) and gamma the truth's scaled DFT: a quadratic
-    form in rho. rho is computed once for all samples, and the moments of
-    all samples in shared table passes (``_sample_moments``).
+    form in rho. rho, and with it K, is built once per process for each
+    grid of nus and shared with LCV's probes
+    (``bessel._grid_coefficients``, read-only), and the moments of all
+    samples come from shared table passes (``_sample_moments``).
     Split around the truth, with e_k = phi_k - gamma_k, each term
     w_k |rho_k phi_k - gamma_k|^2 is
     w_k (rho_k^2 |e_k|^2 - 2 rho_k (1 - rho_k) Re(e_k conj gamma_k)
@@ -277,11 +279,11 @@ def oracle_mise_curve(samples, truth: DensityGrid, nus) -> np.ndarray:
         raise ValueError("nus must be a non-empty one-dimensional array")
     _check_concentration(nus, "nu")
     g = truth.gridsize
-    orders = _order_count(float(nus.max()))
+    rho = _grid_coefficients(nus)
+    orders = rho.shape[1]
     if 2 * orders > g:
         raise ValueError(f"K = {orders} orders at nu = {nus.max():g} alias on a truth grid of G = {g} < 2 K points")
     arrays = [wrap_angle(_as_sample(s)) for s in samples]
-    rho = _kernel_coefficients(nus, orders)
     phi = _sample_moments(arrays, orders)
     gamma = np.fft.rfft(truth.values) * (TWO_PI / g)
     weights = np.full(g // 2 + 1, 2.0)

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import i0e, ive
 
-from .bessel import KAPPA_CAP, _kernel_coefficients, _order_count
+from .bessel import KAPPA_CAP, _grid_coefficients, _kernel_coefficients
 from .em import (
     EmConfig,
     MixtureSelection,
@@ -270,9 +270,12 @@ def lcv(sample, domain: NuSearchDomain | None = None) -> BandwidthResult:
     rho~ = (1, 2 rho_1, 2 rho_2, ...). ``kde._cosine_sums`` keeps the
     sample's two trigonometric tables and gives S for each
     nu in O(K n) time and 2 (B + Q) n floats, B + Q about 2 sqrt(K). The
-    probes' coefficient rows come from one ``_kernel_coefficients`` call,
-    whose rows are bit for bit those of one-nu calls; each golden-section
-    point takes a one-nu call. Rows whose sum falls below ``_DIRECT_BELOW``
+    probes' coefficient rows, and K with them, are built once per process
+    for each probe grid (``bessel._grid_coefficients``, read-only, shared
+    with the ORACLE's grid of the same n); each call doubles orders >= 1
+    of its own copy. Their rows are bit for bit those of one-nu calls;
+    each golden-section point takes a one-nu ``_kernel_coefficients``
+    call. Rows whose sum falls below ``_DIRECT_BELOW``
     are recomputed by the direct sum. The sample is wrapped once, on
     entry, for the tables, those rows and ``ties``. ``diagnostics`` holds
     ``orders`` (K), ``direct_rows`` (recomputed rows, summed over all
@@ -285,11 +288,11 @@ def lcv(sample, domain: NuSearchDomain | None = None) -> BandwidthResult:
     if n < 2:
         raise ValueError("need at least 2 observations for cross-validation")
     domain = domain or NuSearchDomain.for_sample_size(n)
-    orders = _order_count(domain.nu_max)
-    cosine_sums = _cosine_sums(arr, orders)
     probes = domain.probes()
-    probe_coef = _kernel_coefficients(probes, orders)
+    probe_coef = _grid_coefficients(probes).copy()
     probe_coef[:, 1:] *= 2.0
+    orders = probe_coef.shape[1]
+    cosine_sums = _cosine_sums(arr, orders)
     probe_rows = dict(zip(probes.tolist(), probe_coef))
     direct_rows = 0
 

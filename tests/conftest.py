@@ -1,8 +1,9 @@
-"""Shared test oracles, independent of the library's computation paths."""
+"""Shared test oracles, independent of the library's computation paths, and a fixture that empties its caches."""
 
 import math
 
 import numpy as np
+import pytest
 from scipy.special import i0e
 from scipy.stats import chi2
 
@@ -85,3 +86,23 @@ def _pool_bins(counts: np.ndarray, expected: np.ndarray, floor: float):
 def circular_distance(a, b) -> np.ndarray:
     d = np.abs(np.mod(np.asarray(a) - np.asarray(b), TWO_PI))
     return np.minimum(d, TWO_PI - d)
+
+
+@pytest.fixture
+def cold_caches():
+    """Empty circkde's per-process caches (nu grids, their kernel rows, truth grids) around a test.
+
+    Yields the function that empties them, for tests that compare a cold run with a warm one.
+    """
+    from circkde import bessel, simulate
+
+    # Taken now: a test may monkeypatch these names before the teardown clears them.
+    caches = (bessel._kept_rows, simulate.default_oracle_grid, simulate._truth_gridsize, simulate._truth_grid)
+
+    def clear():
+        for cached in caches:
+            cached.cache_clear()
+
+    clear()
+    yield clear
+    clear()

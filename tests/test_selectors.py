@@ -320,7 +320,7 @@ class TestLcv:
 
     @pytest.mark.parametrize("case", ["M2-100", "M16-2000", "outliers"])
     def test_probe_rows_match_rows_one_nu_at_a_time(self, monkeypatch, case):
-        """The probes' coefficient rows come from one call, and give every bit that one-nu rows give.
+        """The probes' coefficient rows come from one grid call, and give every bit that one-nu rows give.
 
         The outliers sample takes direct rows at its largest probes.
         """
@@ -330,23 +330,29 @@ class TestLcv:
         else:
             model, n = case.split("-")
             sample = lcv_sample((model, int(n)))
-        real = selectors._kernel_coefficients
-        sizes = []
+        real_grid, real = selectors._grid_coefficients, selectors._kernel_coefficients
+        grids, sizes = [], []
+
+        def grid_spy(nus):
+            grids.append(nus.size)
+            return real_grid(nus)
 
         def spy(nus, orders):
             sizes.append(nus.size)
             return real(nus, orders)
 
+        monkeypatch.setattr(selectors, "_grid_coefficients", grid_spy)
         monkeypatch.setattr(selectors, "_kernel_coefficients", spy)
         batched = lcv(sample)
         domain = NuSearchDomain.for_sample_size(sample.size)
-        assert sizes[0] == domain.n_probes and set(sizes[1:]) == {1}
+        assert grids == [domain.n_probes] and set(sizes) == {1}
         assert (case == "outliers") == (batched.diagnostics["direct_rows"] > 0)
 
-        def one_at_a_time(nus, orders):
+        def one_at_a_time(nus):
+            orders = _order_count(float(nus.max()))
             return np.stack([real(np.array([nu]), orders)[0] for nu in nus])
 
-        monkeypatch.setattr(selectors, "_kernel_coefficients", one_at_a_time)
+        monkeypatch.setattr(selectors, "_grid_coefficients", one_at_a_time)
         alone = lcv(sample)
         assert (batched.nu, batched.objective, batched.diagnostics) == (alone.nu, alone.objective, alone.diagnostics)
 

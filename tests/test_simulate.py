@@ -5,11 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from circkde import simulate
+from circkde import bessel, simulate
 from circkde.catalogue import get_model, model_index
 from circkde.em import _LOCKSTEP_CELLS, EmConfig
 from circkde.rng import derive_seed, make_rng
-from circkde.selectors import LCV, ORACLE, PI, RT, BandwidthResult, lcv, plug_in, rule_of_thumb
+from circkde.kde import oracle_mise_curve
+from circkde.selectors import LCV, ORACLE, PI, RT, BandwidthResult, NuSearchDomain, lcv, plug_in, rule_of_thumb
 from circkde.simulate import (
     CellResult,
     ExperimentConfig,
@@ -40,13 +41,20 @@ class TestRunExperiment:
         b["metadata"].pop("wall_time_s")
         assert a == b
 
-    def test_workers_do_not_change_results(self, small_report):
-        cfg, report = small_report
-        pooled = run_experiment(cfg, workers=2)
-        a, b = report.to_dict(), pooled.to_dict()
-        a["metadata"].pop("wall_time_s")
-        b["metadata"].pop("wall_time_s")
-        assert a == b
+    def test_workers_do_not_change_results(self, cold_caches):
+        # One chunk per size, so workers=2 forks a pool of two. Its workers
+        # inherit the caches that the in-process run, started cold, filled.
+        cfg = ExperimentConfig(
+            models=("M2",), sample_sizes=(100, 250), replicates=8,
+            selectors=(RT, PI, LCV, ORACLE), base_seed=99,
+        )
+        chunks = [-(-cfg.replicates // simulate._chunk_size(n, cfg.em.n_restarts)) for n in cfg.sample_sizes]
+        assert chunks == [1, 1]
+        serial = run_experiment(cfg).to_dict()
+        pooled = run_experiment(cfg, workers=2).to_dict()
+        for report in (serial, pooled):
+            report["metadata"].pop("wall_time_s")
+        assert pooled == serial
 
     def test_results_do_not_depend_on_workers_or_chunks(self, monkeypatch):
         # Each size's six samples form one chunk that crosses from M2 to M7;
@@ -112,7 +120,7 @@ class TestRunExperiment:
     def test_truth_gridsize(self, n, gridsize):
         assert simulate._truth_gridsize(n) == gridsize
 
-    def test_cells_share_one_truth_grid_per_size(self, monkeypatch):
+    def test_cells_share_one_truth_grid_per_size(self, monkeypatch, cold_caches):
         # One truth per model and grid size; every ISE at n, the ORACLE's too, against the one of n.
         monkeypatch.setattr(simulate, "_truth_gridsize", {60: 2048, 100: 1024, 250: 1024}.get)
         built, used = [], set()
@@ -230,6 +238,13 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match=message):
             ExperimentConfig(**change)
 
+    def test_config_hash_is_stable(self, small_report):
+        # The hash of a config is part of every report; serializing the
+        # config once per run must not change it.
+        cfg, report = small_report
+        assert ExperimentConfig().config_hash() == "1cfe8bca8b1db626"
+        assert report.metadata["config_hash"] == cfg.config_hash() == "433152e0d05d96a4"
+
     def test_numpy_integers_hash_as_python_integers(self):
         plain = ExperimentConfig(replicates=3, sample_sizes=(100,), em=EmConfig(seed=4))
         numpy_ints = ExperimentConfig(
@@ -251,6 +266,76 @@ class TestRunExperiment:
         # returns only the first.
         with pytest.raises(ValueError, match=f"{field} must not repeat an entry"):
             ExperimentConfig(**{field: values})
+
+
+class TestProcessCaches:
+    """The nu grids, their kernel rows and the truth grids kept per process."""
+
+    SIZES = (100, 250)
+
+    def test_cached_arrays_are_read_only(self):
+        grid = simulate.default_oracle_grid(100)
+        rows = bessel._grid_coefficients(grid)
+        truth = simulate._truth_grid("M2", 1024)
+        for values in (grid, rows, truth.values):
+            with pytest.raises(ValueError, match="read-only"):
+                values[0] = 0.5
+        assert rows.shape == (grid.size, bessel._order_count(float(grid[-1])))
+
+    def test_lcv_leaves_the_shared_rows_as_built(self):
+        sample = get_model("M2").sample(100, make_rng(4))
+        lcv(sample)
+        grid = simulate.default_oracle_grid(100)
+        assert np.array_equal(bessel._grid_coefficients(grid), bessel._kernel_coefficients(grid))
+
+    def test_cold_and_warm_give_the_same_bits(self, cold_caches):
+        cfg = ExperimentConfig(
+            models=("M2", "M7"), sample_sizes=self.SIZES, replicates=2,
+            selectors=(RT, PI, LCV, ORACLE), base_seed=11,
+        )
+        samples = [get_model("M7").sample(n, make_rng(6, n)) for n in self.SIZES]
+
+        def outputs():
+            report = run_experiment(cfg).to_dict()
+            report["metadata"].pop("wall_time_s")
+            curves = [
+                oracle_mise_curve([s], simulate._truth_grid("M7", 1024), simulate.default_oracle_grid(s.size))
+                for s in samples
+            ]
+            return report, [lcv(s) for s in samples], curves
+
+        cold = outputs()
+        warm = outputs()
+        cold_caches()
+        again = outputs()
+        for other in (warm, again):
+            assert other[:2] == cold[:2]
+            assert all(np.array_equal(a, b) for a, b in zip(other[2], cold[2]))
+
+    def test_no_model_state_leaks_into_the_next_run(self, cold_caches):
+        def report(models):
+            cfg = ExperimentConfig(
+                models=models, sample_sizes=self.SIZES, replicates=3,
+                selectors=(RT, LCV, ORACLE), base_seed=12,
+            )
+            out = run_experiment(cfg).to_dict()
+            out["metadata"].pop("wall_time_s")
+            return out
+
+        report(("M2",))
+        after_m2 = report(("M7",))
+        cold_caches()
+        assert after_m2 == report(("M7",))
+
+    def test_custom_domain_after_the_default_one(self, cold_caches):
+        sample = get_model("M7").sample(100, make_rng(9))
+        custom = NuSearchDomain(nu_min=0.5, nu_max=500.0, n_probes=40)
+        lcv(sample)
+        after_default = lcv(sample, custom)
+        assert after_default.diagnostics["orders"] == bessel._order_count(500.0)
+        assert after_default.diagnostics["orders"] != lcv(sample).diagnostics["orders"]
+        cold_caches()
+        assert lcv(sample, custom) == after_default
 
 
 class TestSelect:
