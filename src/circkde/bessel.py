@@ -175,12 +175,15 @@ def _kernel_coefficients(nus: np.ndarray, orders: int | None = None) -> np.ndarr
 def _grid_coefficients(nus) -> np.ndarray:
     """``_kernel_coefficients(nus)`` of a fixed nu grid, built once per process and read-only.
 
-    LCV's probes and the ORACLE's grid depend on n alone, so each study
-    size and ``circkde fit`` reuse one grid. The ``_GRIDS_KEPT`` most
-    recently used grids, keyed by their float values, keep their rows; K
-    is the rows' width. A grid of P nu costs P K floats: at most
-    50 x 2,799 (1.1 MB) for 50 probes, about 36 MB for the whole cache,
-    and about 50 KB at the study's sizes.
+    LCV's probes and the ORACLE's grid depend on n alone, so every LCV
+    call and ORACLE cell at one study size shares one grid. The
+    ``_GRIDS_KEPT`` most recently used grids, keyed by their float values,
+    keep their rows; K is the rows' width. A grid of P nu costs P K
+    floats, K <= 2,799, so the cache holds at most ``_GRIDS_KEPT`` P K
+    floats for the longest grid it was given: 1.1 MB per grid and 36 MB in
+    all for 50-nu grids, about 50 KB per study size at n <= 500. Any grid
+    passed to ``oracle_mise_curve`` is kept, one that fails its aliasing
+    check too.
     """
     return _kept_rows(tuple(np.asarray(nus, dtype=float).tolist()))
 

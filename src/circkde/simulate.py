@@ -24,11 +24,10 @@ from importlib import resources
 
 import numpy as np
 
-from . import catalogue
-from .bessel import _order_count
+from . import bessel, catalogue
 from .em import EmConfig
 from .em import _LOCKSTEP_CELLS
-from .kde import DEFAULT_GRIDSIZE, DensityGrid, KdeFit, density_grid_of, ise, kde_grid, oracle_mise_curve
+from .kde import DEFAULT_GRIDSIZE, KdeFit, density_grid_of, ise, kde_grid, oracle_mise_curve
 from .models import ModelSpec
 from .rng import derive_seed, make_rng
 from .selectors import (
@@ -197,22 +196,12 @@ def default_oracle_grid(n: int) -> np.ndarray:
 
 @functools.cache
 def _truth_gridsize(n: int) -> int:
-    """The study's truth grid at n: 1,024 points, or more once 2 K > 1,024 at the top nu of n's ORACLE grid."""
-    orders = _order_count(float(default_oracle_grid(n)[-1]))
-    return max(DEFAULT_GRIDSIZE, 1 << (2 * orders - 1).bit_length())
+    """The study's truth grid at n: 1,024 points, or more once 2 K > 1,024 at the top nu of n's ORACLE grid.
 
-
-@functools.cache
-def _truth_grid(model_id: str, gridsize: int) -> DensityGrid:
-    """A catalogue model's density on ``gridsize`` points, built once per process and read-only.
-
-    One grid costs ``gridsize`` floats: 8 KB at 1,024 points, 160 KB for
-    all 20 catalogue models. Forked study workers inherit the grids built
-    before the fork.
+    K is the width of the grid's kernel rows, the K that ``oracle_mise_curve`` and LCV use.
     """
-    grid = density_grid_of(catalogue.get_model(model_id), gridsize)
-    grid.values.flags.writeable = False
-    return grid
+    orders = bessel._grid_coefficients(default_oracle_grid(n)).shape[1]
+    return max(DEFAULT_GRIDSIZE, 1 << (2 * orders - 1).bit_length())
 
 
 def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> SimulationReport:
@@ -231,15 +220,17 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> SimulationReport:
     ``workers``, a sample's results do not depend on its chunk, and
     results are aggregated by replicate index.
 
-    Truth grids (:func:`_truth_grid`), ORACLE grids
-    (:func:`default_oracle_grid`) and those grids' kernel rows, which LCV
-    shares (``bessel._grid_coefficients``), are built once per process,
-    read-only, and inherited by forked workers; no result depends on
+    Each truth grid is built once per run, for each model and grid size.
+    ORACLE grids (:func:`default_oracle_grid`) and their kernel rows,
+    which LCV shares (``bessel._grid_coefficients``), are built once per
+    process, read-only, and inherited by forked workers, so every cell and
+    LCV call at a size after the first reuses them; no result depends on
     whether they are already built.
     """
     t0 = time.perf_counter()
     models = {m: catalogue.get_model(m) for m in cfg.models}
-    truths = {(m, n): _truth_grid(m, _truth_gridsize(n)) for m in cfg.models for n in cfg.sample_sizes}
+    grid = functools.cache(lambda m, g: density_grid_of(models[m], g))  # one per model and grid size
+    truths = {(m, n): grid(m, _truth_gridsize(n)) for m in cfg.models for n in cfg.sample_sizes}
     data_driven = tuple(s for s in cfg.selectors if s != ORACLE)
     tasks = []
     if data_driven:

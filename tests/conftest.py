@@ -90,14 +90,14 @@ def circular_distance(a, b) -> np.ndarray:
 
 @pytest.fixture
 def cold_caches():
-    """Empty circkde's per-process caches (nu grids, their kernel rows, truth grids) around a test.
+    """Empty circkde's per-process caches (nu grids, their kernel rows, truth grid sizes) around a test.
 
     Yields the function that empties them, for tests that compare a cold run with a warm one.
     """
     from circkde import bessel, simulate
 
     # Taken now: a test may monkeypatch these names before the teardown clears them.
-    caches = (bessel._kept_rows, simulate.default_oracle_grid, simulate._truth_gridsize, simulate._truth_grid)
+    caches = (bessel._kept_rows, simulate.default_oracle_grid, simulate._truth_gridsize)
 
     def clear():
         for cached in caches:

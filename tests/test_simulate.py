@@ -9,7 +9,7 @@ from circkde import bessel, simulate
 from circkde.catalogue import get_model, model_index
 from circkde.em import _LOCKSTEP_CELLS, EmConfig
 from circkde.rng import derive_seed, make_rng
-from circkde.kde import oracle_mise_curve
+from circkde.kde import density_grid_of, oracle_mise_curve
 from circkde.selectors import LCV, ORACLE, PI, RT, BandwidthResult, NuSearchDomain, lcv, plug_in, rule_of_thumb
 from circkde.simulate import (
     CellResult,
@@ -120,7 +120,7 @@ class TestRunExperiment:
     def test_truth_gridsize(self, n, gridsize):
         assert simulate._truth_gridsize(n) == gridsize
 
-    def test_cells_share_one_truth_grid_per_size(self, monkeypatch, cold_caches):
+    def test_cells_share_one_truth_grid_per_size(self, monkeypatch):
         # One truth per model and grid size; every ISE at n, the ORACLE's too, against the one of n.
         monkeypatch.setattr(simulate, "_truth_gridsize", {60: 2048, 100: 1024, 250: 1024}.get)
         built, used = [], set()
@@ -269,15 +269,14 @@ class TestRunExperiment:
 
 
 class TestProcessCaches:
-    """The nu grids, their kernel rows and the truth grids kept per process."""
+    """The nu grids and their kernel rows kept per process."""
 
     SIZES = (100, 250)
 
     def test_cached_arrays_are_read_only(self):
         grid = simulate.default_oracle_grid(100)
         rows = bessel._grid_coefficients(grid)
-        truth = simulate._truth_grid("M2", 1024)
-        for values in (grid, rows, truth.values):
+        for values in (grid, rows):
             with pytest.raises(ValueError, match="read-only"):
                 values[0] = 0.5
         assert rows.shape == (grid.size, bessel._order_count(float(grid[-1])))
@@ -294,12 +293,13 @@ class TestProcessCaches:
             selectors=(RT, PI, LCV, ORACLE), base_seed=11,
         )
         samples = [get_model("M7").sample(n, make_rng(6, n)) for n in self.SIZES]
+        truth = density_grid_of(get_model("M7"), 1024)
 
         def outputs():
             report = run_experiment(cfg).to_dict()
             report["metadata"].pop("wall_time_s")
             curves = [
-                oracle_mise_curve([s], simulate._truth_grid("M7", 1024), simulate.default_oracle_grid(s.size))
+                oracle_mise_curve([s], truth, simulate.default_oracle_grid(s.size))
                 for s in samples
             ]
             return report, [lcv(s) for s in samples], curves
@@ -329,7 +329,8 @@ class TestProcessCaches:
 
     def test_custom_domain_after_the_default_one(self, cold_caches):
         sample = get_model("M7").sample(100, make_rng(9))
-        custom = NuSearchDomain(nu_min=0.5, nu_max=500.0, n_probes=40)
+        # As many probes as the default grid, so only the grid's values tell the two apart.
+        custom = NuSearchDomain(nu_min=0.5, nu_max=500.0, n_probes=50)
         lcv(sample)
         after_default = lcv(sample, custom)
         assert after_default.diagnostics["orders"] == bessel._order_count(500.0)
